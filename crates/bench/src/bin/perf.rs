@@ -3,7 +3,7 @@
 //! (`BENCH_*.json`).
 //!
 //! ```text
-//! perf [--paper|--reduced] [--workloads a,b,c] [--repeats N] [--workers N]
+//! perf [--paper|--reduced] [--workloads a,b,c] [--repeats N]
 //!      [--out FILE] [--baseline FILE] [--tolerance PCT]
 //! ```
 //!
@@ -15,7 +15,6 @@
 
 use std::path::PathBuf;
 
-use dsm_bench::cli::parse_workers;
 use dsm_bench::perf;
 use dsm_bench::presets::ExperimentScale;
 use dsm_core::MachineConfig;
@@ -30,9 +29,6 @@ options:
                        workloads
   --repeats N          wall-clock repetitions per job; the best is reported
                        (default 3)
-  --workers N|auto     shard each simulation across N worker threads
-                       (`auto` = available cores, default 1 = serial);
-                       simulation results are bit-identical either way
   --out FILE           write the JSON report to FILE as well as stdout
   --baseline FILE      compare events/sec against a committed baseline JSON
                        and fail on regression
@@ -53,7 +49,6 @@ fn main() {
         .map(str::to_string)
         .collect();
     let mut repeats: u32 = 3;
-    let mut workers: usize = 1;
     let mut out: Option<PathBuf> = None;
     let mut baseline: Option<PathBuf> = None;
     let mut tolerance_pct: f64 = 30.0;
@@ -86,10 +81,6 @@ fn main() {
                     .filter(|n| *n > 0)
                     .unwrap_or_else(|| fail("bad value for `--repeats`"));
             }
-            "--workers" => {
-                workers = parse_workers(&value("--workers"))
-                    .unwrap_or_else(|_| fail("bad value for `--workers`"));
-            }
             "--out" => out = Some(PathBuf::from(value("--out"))),
             "--baseline" => baseline = Some(PathBuf::from(value("--baseline"))),
             "--tolerance" => {
@@ -109,14 +100,7 @@ fn main() {
 
     let systems = perf::default_systems(scale);
     let names: Vec<&str> = workloads.iter().map(String::as_str).collect();
-    let report = perf::measure_workers(
-        MachineConfig::PAPER,
-        &systems,
-        &names,
-        scale,
-        repeats,
-        workers,
-    );
+    let report = perf::measure(MachineConfig::PAPER, &systems, &names, scale, repeats);
 
     for job in &report.jobs {
         eprintln!(

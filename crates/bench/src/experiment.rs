@@ -21,12 +21,9 @@
 //! Named workloads are **streamed**: every (workload, system) job
 //! instantiates a fresh deterministic [`mem_trace::TraceSource`] consumed
 //! as the simulation advances — the generator runs *inside* the
-//! simulator's pull loop when the worker threads saturate the cores
-//! (fused; no thread, no channel), or on its own thread when spare cores
-//! can overlap generation with simulation (see
-//! [`crate::sweep::SourceMode`]).  Either way peak memory is bounded by
-//! the demultiplexing window — not by the trace size, and not by how many
-//! workloads the experiment covers.
+//! simulator's pull loop (fused; no thread, no channel), so peak memory is
+//! bounded by the demultiplexing window — not by the trace size, and not
+//! by how many workloads the experiment covers.
 //!
 //! Custom traces (instead of named Table 2 workloads) are supplied with
 //! [`Experiment::traces`], which makes the harness usable for ad-hoc
@@ -62,7 +59,6 @@ pub struct Experiment {
     source: WorkloadSource,
     scale: ExperimentScale,
     threads: usize,
-    workers: usize,
 }
 
 impl Experiment {
@@ -80,7 +76,6 @@ impl Experiment {
             ),
             scale: ExperimentScale::Reduced,
             threads: default_threads(),
-            workers: 1,
         }
     }
 
@@ -139,24 +134,14 @@ impl Experiment {
         self
     }
 
-    /// Shard each simulation across `workers` worker threads (`0` = auto,
-    /// one per available core; the default `1` is the exact serial path).
-    /// Results are bit-identical at any worker count.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// Apply parsed command-line options: workloads (or a replay file),
-    /// scale, threads and per-simulation workers.
+    /// scale and threads.
     pub fn options(self, opts: &Options) -> Self {
         let exp = match &opts.replay {
             Some(path) => self.replay(path.clone()),
             None => self.workloads(opts.workload_names()),
         };
-        exp.scale(opts.scale)
-            .threads(opts.threads)
-            .workers(opts.workers)
+        exp.scale(opts.scale).threads(opts.threads)
     }
 
     /// Run every (workload, system) pair and collect the results.
@@ -184,8 +169,7 @@ impl Experiment {
             .machine(self.machine)
             .system_set(set)
             .scale(self.scale)
-            .threads(self.threads)
-            .workers(self.workers);
+            .threads(self.threads);
         sweep = match self.source {
             WorkloadSource::Named(names) => sweep.workloads(names),
             WorkloadSource::Traces(traces) => sweep.traces(traces),
@@ -218,7 +202,6 @@ impl Experiment {
         ExperimentResult {
             experiment,
             system_names,
-            workers: self.workers,
             per_workload,
         }
     }
@@ -339,8 +322,8 @@ mod tests {
         use mem_trace::record_to_file;
         let cfg = WorkloadConfig::reduced();
         let path = std::env::temp_dir().join("dsm-repro-experiment-replay.trc");
-        let mut stream = splash_workloads::stream(by_name("ocean").unwrap(), cfg);
-        record_to_file(&mut stream, &path).unwrap();
+        let mut source = splash_workloads::fused(by_name("ocean").unwrap().as_ref(), &cfg);
+        record_to_file(&mut source, &path).unwrap();
 
         let set = || SystemSet {
             experiment: "replay parity",

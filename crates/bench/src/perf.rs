@@ -22,7 +22,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use crate::presets::ExperimentScale;
-use dsm_core::{ClusterSimulator, MachineConfig, ShardedSimulator, SystemConfig};
+use dsm_core::{ClusterSimulator, MachineConfig, SystemConfig};
 use splash_workloads::{by_name, WorkloadConfig};
 
 /// Throughput measurement of one (workload, system) job.
@@ -49,9 +49,6 @@ pub struct PerfReport {
     pub scale: String,
     /// Wall-clock repetitions per job (best is reported).
     pub repeats: u32,
-    /// Per-simulation worker count the jobs ran with (`0` = auto, `1` =
-    /// serial).  Throughput depends on it; simulation results do not.
-    pub workers: usize,
     /// One entry per (workload, system) pair, workloads outermost.
     pub jobs: Vec<PerfJob>,
 }
@@ -81,10 +78,9 @@ pub fn default_systems(scale: ExperimentScale) -> Vec<SystemConfig> {
 }
 
 /// Measure every (workload, system) job: run the workload through the
-/// *fused* streaming pipeline (generation inside the simulator's pull loop
-/// — the configuration a saturated experiment run uses, and the one whose
-/// wall-clock is generation + simulation with no channel in between)
-/// `repeats` times and keep the best wall-clock.
+/// fused streaming pipeline (generation inside the simulator's pull loop,
+/// so the wall-clock is generation + simulation) `repeats` times and keep
+/// the best wall-clock.
 ///
 /// # Panics
 /// Panics on an unknown workload name or a zero `repeats`.
@@ -95,30 +91,8 @@ pub fn measure(
     scale: ExperimentScale,
     repeats: u32,
 ) -> PerfReport {
-    measure_workers(machine, systems, workloads, scale, repeats, 1)
-}
-
-/// [`measure`] with each simulation sharded across `workers` worker
-/// threads (`0` = auto, `1` = the serial fused pipeline).  Simulation
-/// results — and therefore `accesses` — are bit-identical at any worker
-/// count; only the wall clock moves, which is exactly what a serial-vs-
-/// sharded perf comparison wants to isolate.
-///
-/// # Panics
-/// Panics on an unknown workload name or a zero `repeats`.
-pub fn measure_workers(
-    machine: MachineConfig,
-    systems: &[SystemConfig],
-    workloads: &[&str],
-    scale: ExperimentScale,
-    repeats: u32,
-    workers: usize,
-) -> PerfReport {
     assert!(repeats > 0, "perf measurement needs at least one repeat");
     let cfg = WorkloadConfig::at_scale(scale.workload_scale());
-    let sharded = (workers != 1)
-        .then(|| dsm_core::resolve_workers(workers, &machine))
-        .filter(|&w| w > 1);
     let mut jobs = Vec::with_capacity(workloads.len() * systems.len());
     for workload in workloads {
         let wl = by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}"));
@@ -126,24 +100,11 @@ pub fn measure_workers(
             let mut best = f64::INFINITY;
             let mut accesses = 0;
             for _ in 0..repeats {
-                let result = match sharded {
-                    Some(w) => {
-                        let sim = ShardedSimulator::new(machine, system.clone(), w);
-                        let mut source = splash_workloads::sharded(wl.as_ref(), &cfg, w);
-                        let start = Instant::now();
-                        let result = sim.run_source(&mut source);
-                        best = best.min(start.elapsed().as_secs_f64());
-                        result
-                    }
-                    None => {
-                        let sim = ClusterSimulator::new(machine, system.clone());
-                        let mut source = splash_workloads::fused(wl.as_ref(), &cfg);
-                        let start = Instant::now();
-                        let result = sim.run_source(&mut source);
-                        best = best.min(start.elapsed().as_secs_f64());
-                        result
-                    }
-                };
+                let sim = ClusterSimulator::new(machine, system.clone());
+                let mut source = splash_workloads::fused(wl.as_ref(), &cfg);
+                let start = Instant::now();
+                let result = sim.run_source(&mut source);
+                best = best.min(start.elapsed().as_secs_f64());
                 accesses = result.accesses;
             }
             jobs.push(PerfJob {
@@ -162,7 +123,6 @@ pub fn measure_workers(
     PerfReport {
         scale: scale.label(),
         repeats,
-        workers,
         jobs,
     }
 }
@@ -188,11 +148,10 @@ pub fn to_json(report: &PerfReport) -> String {
     format!(
         concat!(
             "{{\"bench\":\"perf\",\"scale\":\"{}\",\"repeats\":{},",
-            "\"workers\":{},\"mean_events_per_sec\":{:.1},\"jobs\":[{}]}}"
+            "\"mean_events_per_sec\":{:.1},\"jobs\":[{}]}}"
         ),
         report.scale,
         report.repeats,
-        report.workers,
         report.mean_events_per_sec(),
         jobs
     )
@@ -397,7 +356,6 @@ mod tests {
         PerfReport {
             scale: "reduced".to_string(),
             repeats: 2,
-            workers: 1,
             jobs: vec![
                 PerfJob {
                     workload: "radix".into(),
@@ -575,7 +533,6 @@ mod tests {
         let empty = PerfReport {
             scale: "reduced".into(),
             repeats: 1,
-            workers: 1,
             jobs: vec![],
         };
         assert_eq!(empty.mean_events_per_sec(), 0.0);

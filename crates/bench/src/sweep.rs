@@ -9,9 +9,8 @@
 //! ([`Sweep::scales`] — reduced, paper, and custom multiples of the Table 2
 //! data sets) and workload axes compose into a cartesian [`ParamSpace`] of
 //! jobs.  Each job materializes its own [`MachineConfig`] and streams its
-//! own deterministic trace — fused into the simulator's pull loop when the
-//! workers saturate the cores, through a generator thread when spare cores
-//! can overlap generation ([`SourceMode`]) — so a sweep point is exactly
+//! own deterministic trace, fused into the simulator's pull loop, so a
+//! sweep point is exactly
 //! the simulation a standalone [`ClusterSimulator`] run of that
 //! configuration would be; the single-machine
 //! [`Experiment`](crate::Experiment) builder is now a thin one-point sweep
@@ -53,10 +52,7 @@ use std::sync::{Mutex, PoisonError};
 use crate::cache_key::{point_key, CacheKey};
 use crate::presets::{ExperimentScale, SystemSet};
 use crate::runner::default_threads;
-use dsm_core::{
-    ClusterSimulator, CostModel, MachineConfig, ShardedSimulator, SimResult, SystemConfig,
-    Thresholds,
-};
+use dsm_core::{ClusterSimulator, CostModel, MachineConfig, SimResult, SystemConfig, Thresholds};
 use dsm_protocol::MsgKind;
 use mem_trace::{Geometry, ProgramTrace, ReplaySource, Topology, TraceSource};
 use sim_engine::Cycles;
@@ -240,36 +236,6 @@ impl ParamSpace {
     }
 }
 
-/// How a sweep job's named workloads are streamed into the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SourceMode {
-    /// Decide per run: fused when the worker threads already saturate the
-    /// machine's cores (every core runs a simulation, so a generator
-    /// thread would only contend), threaded when spare cores can overlap
-    /// generation with simulation.  Either choice is bit-identical in
-    /// results.
-    #[default]
-    Auto,
-    /// Always run the generator inside the simulator's pull loop.
-    Fused,
-    /// Always run the generator on its own thread behind a channel.
-    Threaded,
-}
-
-impl SourceMode {
-    /// Resolve `Auto` against the worker-thread count actually running.
-    fn use_fused(self, worker_threads: usize) -> bool {
-        match self {
-            SourceMode::Fused => true,
-            SourceMode::Threaded => false,
-            SourceMode::Auto => {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                worker_threads >= cores
-            }
-        }
-    }
-}
-
 /// Builder for a parameter-space sweep.  See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct Sweep {
@@ -286,9 +252,7 @@ pub struct Sweep {
     baseline: SystemConfig,
     workloads: Vec<WorkloadSpec>,
     scales: Vec<ExperimentScale>,
-    source_mode: SourceMode,
     threads: usize,
-    workers: usize,
 }
 
 impl Sweep {
@@ -313,9 +277,7 @@ impl Sweep {
                 .map(|n| WorkloadSpec::Named(n.to_string()))
                 .collect(),
             scales: vec![ExperimentScale::Reduced],
-            source_mode: SourceMode::Auto,
             threads: default_threads(),
-            workers: 1,
         }
     }
 
@@ -448,24 +410,9 @@ impl Sweep {
         self
     }
 
-    /// How named workloads are streamed (default [`SourceMode::Auto`]).
-    pub fn source_mode(mut self, mode: SourceMode) -> Self {
-        self.source_mode = mode;
-        self
-    }
-
     /// Number of simulation worker threads (at least 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Shard each simulation across `workers` worker threads (`0` = auto,
-    /// one per available core; the default `1` is the exact serial path).
-    /// Results are bit-identical at any worker count — sharding changes
-    /// wall-clock, never the answer — so cached results remain valid.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -631,12 +578,7 @@ impl Sweep {
         let space = self.space();
         let workloads = &self.workloads;
 
-        // Fused (generator inside the pull loop) when the workers already
-        // saturate the cores; threaded (generator on its own thread) when
-        // spare cores can overlap generation with simulation.  The results
-        // are bit-identical either way — only wall-clock differs.
         let threads = self.threads.max(1);
-        let fused = self.source_mode.use_fused(threads.min(space.len().max(1)));
 
         let run_job = |point: &ParamPoint| -> Outcome {
             let cache_key = point.cache_key();
@@ -653,12 +595,7 @@ impl Sweep {
                     };
                 }
             }
-            // `workers != 1` shards the simulation (scheduler + supply);
-            // the result is bit-identical to the serial path, so the two
-            // branches share cache entries and golden fingerprints.
-            let sharded = (self.workers != 1)
-                .then(|| dsm_core::resolve_workers(self.workers, &point.machine))
-                .filter(|&w| w > 1);
+            let sim = ClusterSimulator::new(point.machine, point.system.clone());
             let result = match &workloads[point.workload_index] {
                 WorkloadSpec::Named(name) => {
                     let workload =
@@ -666,35 +603,14 @@ impl Sweep {
                         by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
                     let cfg = WorkloadConfig::at_scale(point.scale.workload_scale())
                         .with_topology(point.machine.topology);
-                    if let Some(w) = sharded {
-                        let sim = ShardedSimulator::new(point.machine, point.system.clone(), w);
-                        let mut source = splash_workloads::sharded(workload.as_ref(), &cfg, w);
-                        sim.run_source(&mut source)
-                    } else if fused {
-                        let sim = ClusterSimulator::new(point.machine, point.system.clone());
-                        let mut source = splash_workloads::fused(workload.as_ref(), &cfg);
-                        sim.run_source(&mut source)
-                    } else {
-                        let sim = ClusterSimulator::new(point.machine, point.system.clone());
-                        let mut source = splash_workloads::stream_threaded(workload, cfg);
-                        sim.run_source(&mut source)
-                    }
+                    sim.run_source(&mut splash_workloads::fused(workload.as_ref(), &cfg))
                 }
-                WorkloadSpec::Trace(trace) => match sharded {
-                    Some(w) => ShardedSimulator::new(point.machine, point.system.clone(), w)
-                        .run_source(&mut trace.source()),
-                    None => ClusterSimulator::new(point.machine, point.system.clone()).run(trace),
-                },
+                WorkloadSpec::Trace(trace) => sim.run(trace),
                 WorkloadSpec::Replay(path) => {
                     let mut replay = ReplaySource::open(path)
                         // dsm-lint: allow(panic-path, service requests cannot name Replay specs — build_sweep only accepts catalog workloads; replay paths are CLI operator input where fail-fast is wanted)
                         .unwrap_or_else(|e| panic!("cannot open replay file {path:?}: {e}"));
-                    match sharded {
-                        Some(w) => ShardedSimulator::new(point.machine, point.system.clone(), w)
-                            .run_source(&mut replay),
-                        None => ClusterSimulator::new(point.machine, point.system.clone())
-                            .run_source(&mut replay),
-                    }
+                    sim.run_source(&mut replay)
                 }
             };
             Outcome {
@@ -816,7 +732,6 @@ impl Sweep {
         SweepResult {
             name: self.name,
             baseline_system: self.baseline.name,
-            workers: self.workers,
             baselines,
             points,
         }
@@ -1012,9 +927,6 @@ pub struct SweepResult {
     pub name: String,
     /// Display name of the normalization baseline system.
     pub baseline_system: String,
-    /// Requested per-simulation worker count (`0` = auto, `1` = serial) —
-    /// recorded so emitted reports say what produced them.
-    pub workers: usize,
     /// Baseline jobs, one per (machine point x cost x workload).
     pub baselines: Vec<BaselinePoint>,
     /// Every compared point, in [`ParamSpace`] enumeration order.
@@ -1324,25 +1236,6 @@ mod tests {
         assert_ne!(
             result.points[0].baseline_time,
             result.points[1].baseline_time
-        );
-    }
-
-    #[test]
-    fn explicit_source_modes_are_bit_identical() {
-        let run = |mode: SourceMode| {
-            Sweep::new("mode parity")
-                .system(System::cc_numa().build())
-                .workloads(["ocean"])
-                .source_mode(mode)
-                .threads(2)
-                .run()
-        };
-        let fused = run(SourceMode::Fused);
-        let threaded = run(SourceMode::Threaded);
-        assert_eq!(fused.points[0].result, threaded.points[0].result);
-        assert_eq!(
-            fused.baselines[0].result.fingerprint(),
-            threaded.baselines[0].result.fingerprint()
         );
     }
 

@@ -27,7 +27,7 @@ use mem_trace::{
     AccessKind, BlockRef, Geometry, GlobalAddr, MemRef, NodeId, PageInterner, PageRef, ProcId,
     ProgramTrace, Slab, TraceError, TraceEvent, TraceSource, MAX_LOCK_ID,
 };
-use sim_engine::{Cycles, ProcScheduler, Scheduler};
+use sim_engine::{Cycles, ProcScheduler};
 use smp_node::cache::{CacheOutcome, LineState, Victim};
 use smp_node::classify::MissClass;
 use smp_node::page_table::{PageMapping, PageMode, PageProtection};
@@ -178,7 +178,7 @@ impl EventFeed {
     }
 }
 
-pub(crate) struct RunState<'a> {
+struct RunState<'a> {
     machine: &'a MachineConfig,
     system: &'a SystemConfig,
     /// The machine's address-space geometry: every page/block decomposition
@@ -218,7 +218,7 @@ pub(crate) struct RunState<'a> {
 }
 
 impl<'a> RunState<'a> {
-    pub(crate) fn new(machine: &'a MachineConfig, system: &'a SystemConfig) -> Self {
+    fn new(machine: &'a MachineConfig, system: &'a SystemConfig) -> Self {
         let total_procs = machine.topology.total_procs();
         let geometry = machine.geometry;
         // A hard assert, not debug-only: MachineConfig's fields are public,
@@ -284,16 +284,12 @@ impl<'a> RunState<'a> {
         self.system.costs.remote_miss
     }
 
-    /// Drive `source` to completion through `queue`.  Generic over the
-    /// [`Scheduler`] so the same loop runs serial (one [`ProcScheduler`])
-    /// and sharded (a `ShardedScheduler` routing cross-shard wakeups
-    /// through pair queues) — the interleaving, and therefore the result,
-    /// is bit-identical either way because both schedulers pop in the same
-    /// `(clock, proc id)` order.
-    pub(crate) fn execute<Q: Scheduler>(
+    /// Drive `source` to completion, always advancing the processor that
+    /// `queue` orders first by `(clock, proc id)`.
+    fn execute(
         &mut self,
         source: &mut dyn TraceSource,
-        queue: &mut Q,
+        queue: &mut ProcScheduler,
     ) -> Result<SimResult, TraceError> {
         let workload = source.name().to_string();
         // Per-processor burst buffers: the supply side of the batched
@@ -319,10 +315,9 @@ impl<'a> RunState<'a> {
             // push-always loop — only the heap traffic is gone.
             //
             // The head itself is read once per batch, not once per event:
-            // while `p` runs, nothing else pushes into the scheduler (see
-            // `Scheduler::peek`'s contract), so the horizon is invariant
-            // until this loop's one mid-batch push — an unlock handoff —
-            // refreshes it.
+            // while `p` runs, nothing else pushes into the scheduler, so the
+            // horizon is invariant until this loop's one mid-batch push — an
+            // unlock handoff — refreshes it.
             let mut horizon = queue.peek();
             loop {
                 let Some(ev) = feeds[pid].next(source, ProcId(p)) else {

@@ -44,7 +44,7 @@ impl Default for Config {
                 "SweepService::handle_line",
                 "serve_stream",
                 "ClusterSimulator::try_run*",
-                "ShardedSimulator::try_run*",
+                "ReplaySource::open",
             ]
             .map(str::to_string)
             .to_vec(),

@@ -13,11 +13,9 @@
 //!   generators ([`crate::source::StepGenerator`]) hold a `StepWriter`
 //!   across steps while the fused pull loop hands them a fresh sink borrow
 //!   each time.
-//! * [`TraceWriter`] owns its sink — a set of in-memory vectors, a bounded
-//!   channel feeding a running simulation
-//!   ([`crate::source::ThreadedSource`]), or a trace file recorder.  This is
-//!   what the streaming trace pipeline is built on: the same generator code
-//!   produces the same event sequences no matter where they go.
+//! * [`TraceWriter`] owns its sink — a set of in-memory vectors or a trace
+//!   file recorder.  The same generator code produces the same event
+//!   sequences no matter where they go.
 //! * [`TraceBuilder`] is the classic materializing front-end: a
 //!   `TraceWriter` over per-processor vectors plus [`TraceBuilder::build`]
 //!   returning a [`ProgramTrace`].
@@ -29,9 +27,9 @@ use crate::trace::ProgramTrace;
 /// Receives the events a workload generator emits, in program order.
 ///
 /// Implementations decide what "program order" becomes: `Vec<Vec<TraceEvent>>`
-/// materializes per-processor vectors, the channel sink behind
-/// [`crate::source::ThreadedSource`] forwards events to a consumer as they
-/// are produced, and the recorder in [`crate::replay`] writes them to disk.
+/// materializes per-processor vectors, the demux behind
+/// [`crate::source::FusedSource`] parks them for a consumer's pull loop, and
+/// the recorder in [`crate::replay`] writes them to disk.
 pub trait EventSink {
     /// Accept one event emitted by `proc`.
     fn event(&mut self, proc: ProcId, ev: TraceEvent);
@@ -73,8 +71,8 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
 /// keeps its `StepWriter` (and loop counters) across steps while each
 /// [`step`](crate::source::StepGenerator::step) call hands it whatever sink
 /// the pipeline is currently driving — the fused source's demultiplexer,
-/// a channel, or plain vectors.  [`TraceWriter`] wraps this core with an
-/// owned sink for straight-line generators.
+/// a trace recorder, or plain vectors.  [`TraceWriter`] wraps this core
+/// with an owned sink for straight-line generators.
 #[derive(Debug, Clone)]
 pub struct StepWriter {
     topology: Topology,

@@ -19,8 +19,8 @@
 //! * the pull-based [`source::TraceSource`] abstraction the simulator
 //!   drives, with materialized ([`source::TraceCursor`]), fused
 //!   ([`source::FusedSource`], running a resumable [`source::StepGenerator`]
-//!   inside the consumer's pull loop), threaded ([`source::ThreadedSource`])
-//!   and file-replayed ([`replay::ReplaySource`]) implementations,
+//!   inside the consumer's pull loop) and file-replayed
+//!   ([`replay::ReplaySource`]) implementations,
 //! * a seekless binary record/replay format ([`replay`]),
 //! * a shared-segment allocator ([`layout::AddressSpace`]) and a per-processor
 //!   [`builder::TraceBuilder`] / [`builder::TraceWriter`] that workloads use
@@ -32,8 +32,6 @@ pub mod builder;
 pub mod intern;
 pub mod layout;
 pub mod replay;
-pub mod shard;
-pub mod sharded;
 pub mod sharers;
 pub mod source;
 pub mod trace;
@@ -47,11 +45,9 @@ pub use builder::{EventSink, StepWriter, TraceBuilder, TraceWriter};
 pub use intern::{BlockIdx, BlockRef, PageIdx, PageInterner, PageRef, Slab};
 pub use layout::{AddressSpace, Segment};
 pub use replay::{record, record_to_file, ReplaySource};
-pub use shard::ShardMap;
-pub use sharded::{PumpScript, ShardedSource};
 pub use sharers::SharerSet;
 pub use source::{
-    default_window_cap, FusedSource, StepGenerator, ThreadedSource, TraceCursor, TraceSource,
-    DEFAULT_WINDOW_CAP, WINDOW_CAP_PER_PROC,
+    default_window_cap, FusedSource, StepGenerator, TraceCursor, TraceSource, DEFAULT_WINDOW_CAP,
+    WINDOW_CAP_PER_PROC,
 };
 pub use trace::{ProgramTrace, StatsAccumulator, TraceError, TraceStats, MAX_LOCK_ID};

@@ -238,42 +238,43 @@ impl<R: Read> ReplaySource<R> {
     }
 
     /// Advance the file by one record into the demux buffers.  Returns
-    /// `false` at end of file.
-    ///
-    /// # Panics
-    /// Panics if the file is truncated or corrupt past the header — the
-    /// format is self-produced, so this indicates a damaged file, and the
-    /// pull-based [`TraceSource`] API has no error channel.
+    /// `false` at end of file.  A truncated or corrupt record past the
+    /// header poisons the demux with [`TraceError::CorruptReplay`], which
+    /// the consumer collects through [`TraceSource::take_error`].
     fn pump(&mut self) -> bool {
         let Some(reader) = &mut self.reader else {
             return false;
         };
         let procs = self.topology.total_procs();
-        match Self::read_record(reader) {
+        let message = match Self::read_record(reader) {
             Ok(Record::Event(p, ev)) if (p as usize) < procs => {
                 self.demux.push(ProcId(p), ev);
                 if self.demux.is_poisoned() {
                     self.reader = None;
                     return false;
                 }
-                true
+                return true;
             }
             Ok(Record::EndOfStream(p)) if (p as usize) < procs => {
                 self.demux.end(ProcId(p));
-                true
-            }
-            Ok(Record::Event(p, _)) | Ok(Record::EndOfStream(p)) => {
-                // dsm-lint: allow(panic-path, TraceSource::next_event has no error channel; corrupt replay files are CLI operator input — the service cannot construct Replay workloads — and fail fast by design)
-                panic!("corrupt trace file: record for processor {p} outside the topology");
+                return true;
             }
             Ok(Record::EndOfFile) => {
                 self.reader = None;
                 self.demux.end_all();
-                false
+                return false;
             }
-            // dsm-lint: allow(panic-path, TraceSource::next_event has no error channel; corrupt replay files are CLI operator input — the service cannot construct Replay workloads — and fail fast by design)
-            Err(e) => panic!("replaying trace {}: {e}", self.name),
-        }
+            Ok(Record::Event(p, _)) | Ok(Record::EndOfStream(p)) => {
+                format!("record for processor {p} outside the topology")
+            }
+            Err(e) => e.to_string(),
+        };
+        self.reader = None;
+        self.demux.poison(TraceError::CorruptReplay {
+            trace: self.name.clone(),
+            message,
+        });
+        false
     }
 }
 
@@ -453,6 +454,34 @@ mod tests {
             Ok(_) => panic!("oversized topology accepted"),
         };
         assert!(err.to_string().contains("processor id space"), "{err}");
+    }
+
+    #[test]
+    fn corrupt_records_poison_the_source_instead_of_panicking() {
+        let trace = toy_trace();
+        let mut bytes = Vec::new();
+        record(&mut trace.source(), &mut bytes).unwrap();
+        let header = TRACE_MAGIC.len() + 4 + "toy".len() + 4;
+        // A record cut short, a processor outside the 2x2 topology, and an
+        // unknown event tag, each as the first record after the header.
+        let truncated = bytes[..header + 2].to_vec();
+        let mut out_of_topology = bytes[..header].to_vec();
+        out_of_topology.extend_from_slice(&[9, 0, 2, 1, 0, 0, 0]);
+        let mut bad_tag = bytes[..header].to_vec();
+        bad_tag.extend_from_slice(&[0, 0, 7]);
+        for (what, file) in [
+            ("truncated", truncated),
+            ("out-of-topology", out_of_topology),
+            ("bad tag", bad_tag),
+        ] {
+            let mut replay = ReplaySource::from_reader(&file[..]).unwrap();
+            assert!(replay.next_event(ProcId(0)).is_none(), "{what}");
+            assert!(replay.exhausted(ProcId(1)), "{what}");
+            match replay.take_error() {
+                Some(TraceError::CorruptReplay { trace, .. }) => assert_eq!(trace, "toy"),
+                other => panic!("{what}: expected CorruptReplay, got {other:?}"),
+            }
+        }
     }
 
     #[test]

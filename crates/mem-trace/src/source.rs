@@ -3,7 +3,7 @@
 //! The simulator is trace-driven, but nothing about it requires the whole
 //! trace to exist in memory: it only ever asks "what is processor `p`'s next
 //! event?".  `TraceSource` captures exactly that contract — per-processor
-//! pull cursors over a workload's event streams — so that the four ways a
+//! pull cursors over a workload's event streams — so that the three ways a
 //! trace can exist are interchangeable:
 //!
 //! * **materialized** — [`TraceCursor`], a cursor over a [`ProgramTrace`]
@@ -11,13 +11,7 @@
 //!   custom-trace callers);
 //! * **fused** — [`FusedSource`], which runs a resumable step-function
 //!   generator ([`StepGenerator`]) directly inside the consumer's pull
-//!   loop: no thread, no channel, no batch copies.  This is the default
-//!   when producer and consumer share a core (the common experiment case
-//!   where every worker thread runs one simulation);
-//! * **streamed** — [`ThreadedSource`], which runs a generator on its own
-//!   thread and hands events to the consumer through a small bounded
-//!   channel, overlapping generation with simulation when a spare core is
-//!   available;
+//!   loop: no thread, no channel, no batch copies;
 //! * **replayed** — [`crate::replay::ReplaySource`], which demultiplexes a
 //!   recorded trace file without seeking.
 //!
@@ -27,7 +21,7 @@
 //!
 //! # The exhaustion window, and why it is bounded
 //!
-//! A demultiplexing source (fused, threaded, replayed) learns that a
+//! A demultiplexing source (fused or replayed) learns that a
 //! processor's stream ended either from an explicit per-processor
 //! end-of-stream marker ([`crate::builder::EventSink::end_of_stream`],
 //! which the workload generators emit for every processor at their final
@@ -43,7 +37,6 @@
 //! [`TraceSource::take_error`], instead of unbounded queue growth.
 
 use std::collections::VecDeque;
-use std::sync::mpsc;
 
 use crate::access::TraceEvent;
 use crate::addr::{ProcId, Topology};
@@ -300,14 +293,13 @@ pub fn default_window_cap(topology: Topology) -> usize {
 }
 
 /// Shared demultiplexing state for sources that read one interleaved event
-/// stream (a step generator's emission, channel batches, trace-file
-/// records) and serve per-processor pull cursors: small per-processor
+/// stream (a step generator's emission or trace-file records) and serve per-processor pull cursors: small per-processor
 /// queues, per-processor end-of-stream flags, the incremental statistics
 /// every *pulled* event flows through, and the hard window cap.
 ///
-/// [`FusedSource`], [`ThreadedSource`] and [`crate::replay::ReplaySource`]
-/// drive their `next_event`/`exhausted` loops off this one struct, so the
-/// demux semantics cannot drift between them.
+/// [`FusedSource`] and [`crate::replay::ReplaySource`] drive their
+/// `next_event`/`exhausted` loops off this one struct, so the demux
+/// semantics cannot drift between them.
 #[derive(Debug)]
 pub(crate) struct Demux {
     buffers: Vec<VecDeque<TraceEvent>>,
@@ -343,19 +335,25 @@ impl Demux {
             return;
         }
         if self.buffered >= self.window_cap {
-            self.poisoned = Some(TraceError::StreamWindowExceeded {
+            self.poison(TraceError::StreamWindowExceeded {
                 buffered: self.buffered,
                 cap: self.window_cap,
             });
-            for buf in &mut self.buffers {
-                buf.clear();
-            }
-            self.buffered = 0;
-            self.ended.fill(true);
             return;
         }
         self.buffered += 1;
         self.buffers[proc.index()].push_back(ev);
+    }
+
+    /// Give up on the stream: drop the backlog, report every processor
+    /// ended, and park `err` for [`Demux::take_error`].
+    pub(crate) fn poison(&mut self, err: TraceError) {
+        self.poisoned = Some(err);
+        for buf in &mut self.buffers {
+            buf.clear();
+        }
+        self.buffered = 0;
+        self.ended.fill(true);
     }
 
     /// Record that `proc`'s stream has no further events (an explicit
@@ -466,11 +464,6 @@ pub trait StepGenerator: Send {
 /// Peak memory is the skew between emission order and consumption order —
 /// for the phase-structured SPLASH generators, a fraction of one phase —
 /// guarded by the same window cap as every demultiplexing source.
-///
-/// This is the right source when producer and consumer share a core (every
-/// experiment worker thread runs one simulation); [`ThreadedSource`]
-/// remains for overlapping generation with simulation on a spare core and
-/// for feeding recorders.
 pub struct FusedSource {
     name: String,
     topology: Topology,
@@ -585,247 +578,11 @@ impl TraceSource for FusedSource {
     }
 }
 
-/// Events per channel batch: big enough to amortize channel synchronization,
-/// small enough that a batch is a rounding error next to any real trace.
-pub(crate) const BATCH_EVENTS: usize = 1024;
-/// Batches the channel buffers before the producer blocks.  Bounded memory:
-/// the producer can run at most `BATCH_BUFFER * BATCH_EVENTS` events ahead
-/// of the consumer (plus whatever the consumer demultiplexes while waiting
-/// for a specific processor's next event — itself bounded by the window
-/// cap).
-pub(crate) const BATCH_BUFFER: usize = 32;
-
-/// What flows through a [`ThreadedSource`]'s (or
-/// [`crate::sharded::ShardedSource`] lane's) channel: event batches,
-/// interleaved with per-processor end-of-stream markers at the positions
-/// the generator emitted them.
-pub(crate) enum Chunk {
-    Events(Vec<(u16, TraceEvent)>),
-    EndOfStream(u16),
-}
-
-/// The producer half of [`ThreadedSource`]: an [`EventSink`] that ships
-/// events to the consumer in bounded batches.
-pub(crate) struct ChannelSink {
-    tx: mpsc::SyncSender<Chunk>,
-    buf: Vec<(u16, TraceEvent)>,
-    /// Set once the consumer hung up; subsequent events are discarded so the
-    /// generator can run to completion (cheap) instead of unwinding.
-    dead: bool,
-}
-
-impl ChannelSink {
-    pub(crate) fn new(tx: mpsc::SyncSender<Chunk>) -> Self {
-        ChannelSink {
-            tx,
-            buf: Vec::with_capacity(BATCH_EVENTS),
-            dead: false,
-        }
-    }
-
-    pub(crate) fn flush(&mut self) {
-        if self.dead || self.buf.is_empty() {
-            return;
-        }
-        let batch = std::mem::replace(&mut self.buf, Vec::with_capacity(BATCH_EVENTS));
-        if self.tx.send(Chunk::Events(batch)).is_err() {
-            self.dead = true;
-        }
-    }
-}
-
-impl EventSink for ChannelSink {
-    fn event(&mut self, proc: ProcId, ev: TraceEvent) {
-        if self.dead {
-            return;
-        }
-        self.buf.push((proc.0, ev));
-        if self.buf.len() >= BATCH_EVENTS {
-            self.flush();
-        }
-    }
-
-    fn end_of_stream(&mut self, proc: ProcId) {
-        // Order matters: the marker must arrive after every event the
-        // processor emitted, so flush the pending batch first.
-        self.flush();
-        if !self.dead && self.tx.send(Chunk::EndOfStream(proc.0)).is_err() {
-            self.dead = true;
-        }
-    }
-}
-
-/// A [`TraceSource`] produced by a generator running on its own thread.
-///
-/// The generator emits events in program order into a bounded channel; the
-/// consumer demultiplexes them into small per-processor queues as the
-/// simulator pulls.  Peak memory is the channel bound plus the skew between
-/// emission order and consumption order (for the phase-structured SPLASH-2
-/// generators: a fraction of one phase), *not* the trace size.
-///
-/// Per-processor end-of-stream markers flow through the channel at the
-/// position the generator emitted them, so a processor's exhaustion is
-/// observable as soon as its stream actually ends — the window between a
-/// processor going quiet and the consumer learning it is gone for
-/// well-formed generators, and hard-capped
-/// ([`TraceError::StreamWindowExceeded`]) for everything else.
-pub struct ThreadedSource {
-    name: String,
-    topology: Topology,
-    rx: Option<mpsc::Receiver<Chunk>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    demux: Demux,
-}
-
-impl std::fmt::Debug for ThreadedSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadedSource")
-            .field("name", &self.name)
-            .field("topology", &self.topology)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ThreadedSource {
-    /// Run `generate` on a fresh thread and stream whatever it emits.
-    ///
-    /// `generate` receives an [`EventSink`] and must emit a well-formed
-    /// trace for `topology` (same contract as emitting into a
-    /// [`crate::TraceBuilder`]).  Dropping the source early is safe: the
-    /// sink discards everything emitted after the hang-up and the thread
-    /// exits once `generate` returns (generation is the cheap half of the
-    /// pipeline — the remainder costs background CPU, never memory).
-    pub fn spawn<F>(name: impl Into<String>, topology: Topology, generate: F) -> Self
-    where
-        F: FnOnce(&mut dyn EventSink) + Send + 'static,
-    {
-        let (tx, rx) = mpsc::sync_channel(BATCH_BUFFER);
-        let handle = std::thread::Builder::new()
-            .name("trace-generator".into())
-            .spawn(move || {
-                let mut sink = ChannelSink::new(tx);
-                generate(&mut sink);
-                sink.flush();
-            })
-            // dsm-lint: allow(panic-path, thread creation failure is an OS resource error not input-dependent; fail fast)
-            .expect("spawn trace-generator thread");
-        ThreadedSource {
-            name: name.into(),
-            topology,
-            rx: Some(rx),
-            handle: Some(handle),
-            demux: Demux::new(topology),
-        }
-    }
-
-    /// Replace the parked-event window cap (default
-    /// [`default_window_cap`] for the source's topology).
-    pub fn with_window_cap(mut self, cap: usize) -> Self {
-        self.demux.set_window_cap(cap);
-        self
-    }
-
-    /// Receive one chunk and demultiplex it.  Returns `false` at end of
-    /// stream (or once the window cap poisoned the demux — the channel is
-    /// then dropped so the producer winds down on its own).  Propagates a
-    /// generator panic to the consumer.
-    fn pump(&mut self) -> bool {
-        let Some(rx) = &self.rx else { return false };
-        match rx.recv() {
-            Ok(chunk) => {
-                match chunk {
-                    Chunk::Events(batch) => {
-                        for (p, ev) in batch {
-                            self.demux.push(ProcId(p), ev);
-                        }
-                    }
-                    Chunk::EndOfStream(p) => self.demux.end(ProcId(p)),
-                }
-                if self.demux.is_poisoned() {
-                    // Hang up; the generator discards the rest and exits.
-                    self.rx = None;
-                    return false;
-                }
-                true
-            }
-            Err(_) => {
-                self.rx = None;
-                self.demux.end_all();
-                if let Some(handle) = self.handle.take() {
-                    if let Err(panic) = handle.join() {
-                        std::panic::resume_unwind(panic);
-                    }
-                }
-                false
-            }
-        }
-    }
-}
-
-impl TraceSource for ThreadedSource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    fn next_event(&mut self, proc: ProcId) -> Option<TraceEvent> {
-        loop {
-            if let Some(ev) = self.demux.pop(proc) {
-                return Some(ev);
-            }
-            if self.demux.is_ended(proc) || !self.pump() {
-                return None;
-            }
-        }
-    }
-
-    fn exhausted(&mut self, proc: ProcId) -> bool {
-        loop {
-            if self.demux.has_buffered(proc) {
-                return false;
-            }
-            if self.demux.is_ended(proc) || !self.pump() {
-                return true;
-            }
-        }
-    }
-
-    /// Burst pull: receive chunks only until `proc` has a first event,
-    /// then drain what the demux already parked for it (see
-    /// [`FusedSource::next_burst`] — same contract, channel-fed).
-    fn next_burst(&mut self, proc: ProcId, out: &mut Vec<TraceEvent>, max: usize) -> usize {
-        loop {
-            let n = self.demux.pop_burst(proc, out, max);
-            if n > 0 {
-                return n;
-            }
-            if self.demux.is_ended(proc) || !self.pump() {
-                return 0;
-            }
-        }
-    }
-
-    fn stats_so_far(&self) -> TraceStats {
-        self.demux.stats()
-    }
-
-    fn buffered_events(&self) -> usize {
-        self.demux.buffered_events()
-    }
-
-    fn take_error(&mut self) -> Option<TraceError> {
-        self.demux.take_error()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::GlobalAddr;
-    use crate::builder::{StepWriter, TraceBuilder, TraceWriter};
+    use crate::builder::TraceBuilder;
 
     fn toy_trace() -> ProgramTrace {
         let topo = Topology::new(2, 1);
@@ -972,87 +729,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_source_matches_materialized_trace() {
-        let trace = toy_trace();
-        let topo = trace.topology;
-        let mut src = ThreadedSource::spawn("toy", topo, move |sink| {
-            let mut w = TraceWriter::new(topo, sink).with_think_cycles(2);
-            w.read(ProcId(0), GlobalAddr(0));
-            w.barrier_all();
-            w.write(ProcId(1), GlobalAddr(4096));
-            w.lock(ProcId(1), 7);
-            w.unlock(ProcId(1), 7);
-            w.finish();
-        });
-        // Pull in an adversarial order: proc 1 fully first.
-        let mut p1 = Vec::new();
-        while let Some(ev) = src.next_event(ProcId(1)) {
-            p1.push(ev);
-        }
-        let mut p0 = Vec::new();
-        while let Some(ev) = src.next_event(ProcId(0)) {
-            p0.push(ev);
-        }
-        assert_eq!(p0, trace.per_proc[0]);
-        assert_eq!(p1, trace.per_proc[1]);
-        assert!(src.exhausted(ProcId(0)) && src.exhausted(ProcId(1)));
-        assert_eq!(src.stats_so_far(), trace.stats());
-    }
-
-    #[test]
-    fn threaded_end_markers_bound_the_exhaustion_window() {
-        // Proc 1 emits one event and ends; proc 0 keeps going for 100k
-        // events.  With the marker flowing through the channel, draining
-        // proc 1 and asking about its exhaustion must not pull proc 0's
-        // stream through the demux.
-        let topo = Topology::new(2, 1);
-        let mut src = ThreadedSource::spawn("uneven", topo, move |sink| {
-            let mut w = StepWriter::new(topo);
-            w.read(sink, ProcId(1), GlobalAddr(0));
-            sink.end_of_stream(ProcId(1));
-            for i in 0..100_000u64 {
-                w.read(sink, ProcId(0), GlobalAddr(i * 64));
-            }
-            sink.end_of_stream(ProcId(0));
-        });
-        assert!(src.next_event(ProcId(1)).is_some());
-        assert!(src.next_event(ProcId(1)).is_none());
-        assert!(src.exhausted(ProcId(1)));
-        assert!(
-            src.buffered_events() <= 2 * BATCH_EVENTS,
-            "exhaustion query dragged {} events through the demux",
-            src.buffered_events()
-        );
-        // The rest still streams intact.
-        let mut got0 = 0usize;
-        while src.next_event(ProcId(0)).is_some() {
-            got0 += 1;
-        }
-        assert_eq!(got0, 100_000);
-    }
-
-    #[test]
-    fn threaded_window_cap_poisons_instead_of_growing() {
-        // No end marker for the quiet proc 1: the adversarial pull order
-        // that used to buffer the whole stream now trips the cap.
-        let topo = Topology::new(2, 1);
-        let mut src = ThreadedSource::spawn("runaway", topo, move |sink| {
-            let mut w = StepWriter::new(topo);
-            for i in 0..1_000_000u64 {
-                w.read(sink, ProcId(0), GlobalAddr(i * 64));
-            }
-        })
-        .with_window_cap(10_000);
-        assert!(src.next_event(ProcId(1)).is_none());
-        assert!(src.buffered_events() <= 10_000);
-        assert!(matches!(
-            src.take_error(),
-            Some(TraceError::StreamWindowExceeded { cap: 10_000, .. })
-        ));
-        assert!(src.exhausted(ProcId(0)));
-    }
-
-    #[test]
     fn default_window_cap_scales_with_the_machine() {
         // Flat floor for small machines…
         assert_eq!(default_window_cap(Topology::new(2, 1)), DEFAULT_WINDOW_CAP);
@@ -1066,34 +742,5 @@ mod tests {
         let wide = default_window_cap(Topology::new(96, 4));
         assert_eq!(wide, 384 * WINDOW_CAP_PER_PROC);
         assert!(wide > DEFAULT_WINDOW_CAP);
-    }
-
-    #[test]
-    fn threaded_source_survives_early_drop() {
-        let topo = Topology::new(1, 1);
-        let mut src = ThreadedSource::spawn("big", topo, move |sink| {
-            let mut w = TraceWriter::new(topo, sink);
-            for i in 0..1_000_000u64 {
-                w.read(ProcId(0), GlobalAddr(i * 64));
-            }
-        });
-        // Consume a handful of events, then drop: the generator thread must
-        // wind down on its own without blocking anything.
-        for _ in 0..10 {
-            assert!(src.next_event(ProcId(0)).is_some());
-        }
-        drop(src);
-    }
-
-    #[test]
-    #[should_panic(expected = "generator exploded")]
-    fn generator_panic_propagates_to_the_consumer() {
-        let topo = Topology::new(1, 1);
-        let mut src = ThreadedSource::spawn("bad", topo, move |sink| {
-            let mut w = TraceWriter::new(topo, sink);
-            w.read(ProcId(0), GlobalAddr(0));
-            panic!("generator exploded");
-        });
-        while src.next_event(ProcId(0)).is_some() {}
     }
 }

@@ -78,6 +78,15 @@ pub enum TraceError {
         /// The configured cap.
         cap: usize,
     },
+    /// A replayed trace file is truncated or corrupt past its header (a
+    /// short record, an unknown event tag, or a processor outside the
+    /// header's topology).
+    CorruptReplay {
+        /// Workload name from the file header.
+        trace: String,
+        /// What was wrong with the record.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for TraceError {
@@ -108,6 +117,9 @@ impl std::fmt::Display for TraceError {
                 "streaming source buffered {buffered} events for processors nobody is pulling, \
                  past the {cap}-event window cap"
             ),
+            TraceError::CorruptReplay { trace, message } => {
+                write!(f, "replaying trace {trace}: {message}")
+            }
         }
     }
 }

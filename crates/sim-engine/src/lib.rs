@@ -26,7 +26,6 @@ pub mod event;
 pub mod resource;
 pub mod rng;
 pub mod sched;
-pub mod shard;
 pub mod stats;
 
 pub use cycles::Cycles;
@@ -34,5 +33,4 @@ pub use event::EventQueue;
 pub use resource::{Resource, ResourceStats};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use sched::ProcScheduler;
-pub use shard::{ClockWindow, Scheduler, ShardedScheduler};
 pub use stats::{Histogram, OnlineStats};

@@ -26,10 +26,9 @@
 //!
 //! Every generator is a **resumable step-function**
 //! ([`Workload::stepper`]): each step emits one processor's slice of one
-//! phase.  All three trace deliveries drive the same stepper — materialized
-//! ([`Workload::generate`]), fused into the consumer's pull loop
-//! ([`fused`]) and streamed through a generator thread
-//! ([`stream_threaded`]) — so they are bit-identical by construction.
+//! phase.  Both trace deliveries drive the same stepper — materialized
+//! ([`Workload::generate`]) and fused into the consumer's pull loop
+//! ([`fused`]) — so they are bit-identical by construction.
 
 pub mod barnes;
 pub mod cholesky;
@@ -43,10 +42,7 @@ mod util;
 
 pub use config::{CustomScale, Scale, WorkloadConfig};
 
-use mem_trace::{
-    EventSink, FusedSource, ProcId, ProgramTrace, PumpScript, ShardMap, ShardedSource,
-    StepGenerator, ThreadedSource, TraceEvent, TraceSource,
-};
+use mem_trace::{EventSink, FusedSource, ProcId, ProgramTrace, StepGenerator, TraceEvent};
 
 /// A workload that can generate a shared-memory reference trace.
 ///
@@ -75,7 +71,7 @@ pub trait Workload: Send + Sync {
     ///
     /// The default materializes [`Workload::emit`] up front and replays it
     /// in fair round-robin chunks — correct for any workload, but the
-    /// bounded-memory property of the fused/threaded pipelines then only
+    /// bounded-memory property of the fused pipeline then only
     /// holds for traces that fit in memory anyway.  The seven Table 2
     /// generators all implement this directly (and derive `emit` from it
     /// via [`run_stepper`]).
@@ -147,83 +143,9 @@ impl StepGenerator for ReplaySteps {
 }
 
 /// Run `workload`'s generator *inside* the consumer's pull loop: no thread,
-/// no channel, no batch copies.  The right source when producer and
-/// consumer share a core — the common experiment case where every worker
-/// thread runs one simulation.
+/// no channel, no batch copies.
 pub fn fused(workload: &dyn Workload, cfg: &WorkloadConfig) -> FusedSource {
     FusedSource::new(workload.name(), cfg.topology, workload.stepper(cfg))
-}
-
-/// Run `workload`'s generator on its own thread behind a bounded channel,
-/// overlapping generation with the consumer's work when a spare core is
-/// available.  Yields the exact event sequences [`fused`] and
-/// [`Workload::generate`] would produce.
-pub fn stream_threaded(workload: Box<dyn Workload>, cfg: WorkloadConfig) -> ThreadedSource {
-    let name = workload.name();
-    ThreadedSource::spawn(name, cfg.topology, move |sink| workload.emit(&cfg, sink))
-}
-
-/// Stream `workload`'s trace with bounded memory, picking the pipeline
-/// automatically: [`fused`] when this process has no spare core to overlap
-/// generation on, [`stream_threaded`] otherwise.  Either way the event
-/// sequences (and any simulation driven by them) are bit-identical.
-pub fn stream(workload: Box<dyn Workload>, cfg: WorkloadConfig) -> Box<dyn TraceSource + Send> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores > 1 {
-        Box::new(stream_threaded(workload, cfg))
-    } else {
-        Box::new(fused(&*workload, &cfg))
-    }
-}
-
-/// One equally constructed stepper replica per shard of `map` — the input
-/// shape [`ShardedSource`] and the core crate's `ShardedSimulator` take.
-/// Replicas of the same deterministic stepper emit bit-identical global
-/// sequences, which is what makes the sharded split exact.
-pub fn replicas(
-    workload: &dyn Workload,
-    cfg: &WorkloadConfig,
-    map: ShardMap,
-) -> Vec<Box<dyn StepGenerator>> {
-    (0..map.shards()).map(|_| workload.stepper(cfg)).collect()
-}
-
-/// Run one filtered generator replica per shard on its own supply thread
-/// (`workers` as in `ShardMap::new`: clamped to the node count, `0` = one
-/// shard).  Event sequences are bit-identical to [`fused`] at any worker
-/// count; generation overlaps the consumer, per shard, on spare cores.
-pub fn sharded(workload: &dyn Workload, cfg: &WorkloadConfig, workers: usize) -> ShardedSource {
-    let map = ShardMap::new(cfg.topology, workers);
-    ShardedSource::spawn(workload.name(), map, replicas(workload, cfg, map))
-}
-
-/// [`sharded`]'s deterministic single-thread twin: all replicas inline,
-/// lane progress interleaved by a schedule scripted from `seed`.  Built for
-/// model-checking-style tests that sweep seeds to explore supply
-/// interleavings.
-pub fn sharded_lockstep(
-    workload: &dyn Workload,
-    cfg: &WorkloadConfig,
-    workers: usize,
-    seed: u64,
-) -> ShardedSource {
-    let map = ShardMap::new(cfg.topology, workers);
-    ShardedSource::lockstep(workload.name(), map, replicas(workload, cfg, map), seed)
-}
-
-/// [`sharded_lockstep`] with one *explicit* interleaving instead of a
-/// seeded one: replays `script` (see `ShardedSource::scripted`).  Built for
-/// the exhaustive explorer tests, which enumerate every script at small
-/// depth via `ShardedSource::explore` and assert the simulation result is
-/// bit-identical across all of them.
-pub fn sharded_scripted(
-    workload: &dyn Workload,
-    cfg: &WorkloadConfig,
-    workers: usize,
-    script: PumpScript,
-) -> ShardedSource {
-    let map = ShardMap::new(cfg.topology, workers);
-    ShardedSource::scripted(workload.name(), map, replicas(workload, cfg, map), script)
 }
 
 /// All seven workloads in Table 2 order.
@@ -252,6 +174,7 @@ pub fn names() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mem_trace::TraceSource;
 
     #[test]
     fn catalog_matches_table_2() {
@@ -319,39 +242,31 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_threaded_events_match_materialized_generation() {
+    fn fused_events_match_materialized_generation() {
         let cfg = WorkloadConfig::reduced_for_tests();
         for w in catalog() {
             let trace = w.generate(&cfg);
-            let mut sources: Vec<(&str, Box<dyn TraceSource + Send>)> = vec![
-                ("fused", Box::new(fused(w.as_ref(), &cfg))),
-                (
-                    "threaded",
-                    Box::new(stream_threaded(by_name(w.name()).unwrap(), cfg)),
-                ),
-            ];
-            for (mode, src) in &mut sources {
-                assert_eq!(src.name(), w.name());
-                for p in cfg.topology.proc_ids() {
-                    let mut got = Vec::with_capacity(trace.per_proc[p.index()].len());
-                    while let Some(ev) = src.next_event(p) {
-                        got.push(ev);
-                    }
-                    assert_eq!(
-                        got,
-                        trace.per_proc[p.index()],
-                        "{} {mode} stream diverged for {p:?}",
-                        w.name()
-                    );
+            let mut src = fused(w.as_ref(), &cfg);
+            assert_eq!(src.name(), w.name());
+            for p in cfg.topology.proc_ids() {
+                let mut got = Vec::with_capacity(trace.per_proc[p.index()].len());
+                while let Some(ev) = src.next_event(p) {
+                    got.push(ev);
                 }
                 assert_eq!(
-                    src.stats_so_far(),
-                    trace.stats(),
-                    "{} {mode} incremental stats diverged from batch stats",
+                    got,
+                    trace.per_proc[p.index()],
+                    "{} fused stream diverged for {p:?}",
                     w.name()
                 );
-                assert!(src.take_error().is_none());
             }
+            assert_eq!(
+                src.stats_so_far(),
+                trace.stats(),
+                "{} incremental stats diverged from batch stats",
+                w.name()
+            );
+            assert!(src.take_error().is_none());
         }
     }
 

@@ -22,6 +22,7 @@ use crate::proto::{
 use dsm_bench::perf::{collect_trend, format_trend};
 use dsm_bench::report::{format_sweep_points, format_sweep_table, sweep_to_csv};
 use dsm_bench::{ExperimentScale, Sweep, SweepEvent, SweepResult};
+use dsm_core::{MachineConfig, SystemConfig};
 
 /// What the connection loop should do after a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,26 +40,15 @@ pub struct SweepService {
     /// Worker threads for requests that don't choose (`0` = the engine's
     /// default, one per core).
     threads: usize,
-    /// Per-simulation shard workers for requests that don't choose (`0` =
-    /// auto, `1` = the exact serial path).  Results are bit-identical at
-    /// any worker count, so the cache stays valid across settings.
-    workers: usize,
 }
 
 impl SweepService {
     /// A service over an existing cache.  `threads` = 0 leaves the sweep
     /// engine's per-core default in place.
     pub fn new(cache: ResultCache, threads: usize) -> Self {
-        Self::with_workers(cache, threads, 1)
-    }
-
-    /// [`SweepService::new`] with a default per-simulation shard worker
-    /// count (`0` = auto, `1` = serial).
-    pub fn with_workers(cache: ResultCache, threads: usize, workers: usize) -> Self {
         SweepService {
             cache: Mutex::new(cache),
             threads,
-            workers,
         }
     }
 
@@ -212,12 +202,13 @@ impl SweepService {
         if spec.systems.is_empty() {
             return Err("`systems` must name at least one compared system".to_string());
         }
-        let mut sweep = Sweep::new(spec.name.clone()).scales(scales);
-        for name in &spec.systems {
-            sweep = sweep.system(catalog::system_by_name(name, template_scale)?);
-        }
+        let systems = spec
+            .systems
+            .iter()
+            .map(|name| catalog::system_by_name(name, template_scale))
+            .collect::<Result<Vec<SystemConfig>, _>>()?;
         let baseline = spec.baseline.as_deref().unwrap_or("perfect-cc-numa");
-        sweep = sweep.baseline(catalog::system_by_name(baseline, template_scale)?);
+        let baseline = catalog::system_by_name(baseline, template_scale)?;
 
         if let Some(workloads) = &spec.workloads {
             if workloads.is_empty() {
@@ -229,9 +220,18 @@ impl SweepService {
                     return Err(format!("unknown workload `{w}` (known: {known})"));
                 }
             }
+        }
+        validate_machine_axes(spec, systems.iter().chain([&baseline]))?;
+
+        let mut sweep = Sweep::new(spec.name.clone())
+            .scales(scales)
+            .baseline(baseline);
+        for system in systems {
+            sweep = sweep.system(system);
+        }
+        if let Some(workloads) = &spec.workloads {
             sweep = sweep.workloads(workloads.clone());
         }
-
         if !spec.nodes.is_empty() {
             sweep = sweep.cluster_nodes(spec.nodes.iter().copied());
         }
@@ -255,9 +255,65 @@ impl SweepService {
             None if self.threads > 0 => sweep = sweep.threads(self.threads),
             None => {}
         }
-        sweep = sweep.workers(spec.workers.unwrap_or(self.workers));
         Ok(sweep)
     }
+}
+
+/// Reject machine axes the simulator cannot build a machine from: zero
+/// node or processor counts, sizes that are not powers of two, a block
+/// larger than a page, and sizes that leave the L1, a block cache or a page
+/// cache of one of `systems` without a single line or frame.  Unset size
+/// axes fall back to the paper geometry, as in [`Sweep`].
+fn validate_machine_axes<'a>(
+    spec: &SweepSpec,
+    systems: impl Iterator<Item = &'a SystemConfig>,
+) -> Result<(), String> {
+    for (key, counts) in [
+        ("nodes", &spec.nodes),
+        ("procs_per_node", &spec.procs_per_node),
+    ] {
+        if counts.contains(&0) {
+            return Err(format!("`{key}` values must be at least 1"));
+        }
+    }
+    for (key, sizes) in [
+        ("page_bytes", &spec.page_bytes),
+        ("block_bytes", &spec.block_bytes),
+    ] {
+        if let Some(bad) = sizes.iter().find(|v| !v.is_power_of_two()) {
+            return Err(format!("`{key}` value {bad} is not a power of two"));
+        }
+    }
+    // Every page meets every block on the grid, so the extremes decide.
+    let paper = MachineConfig::PAPER;
+    let page = spec.page_bytes.iter().max().copied();
+    let page = page.unwrap_or(paper.geometry.page_bytes);
+    let min_page = spec.page_bytes.iter().min().copied().unwrap_or(page);
+    let block = spec.block_bytes.iter().max().copied();
+    let block = block.unwrap_or(paper.geometry.block_bytes);
+    if block > min_page {
+        return Err(format!(
+            "`block_bytes` value {block} exceeds the `page_bytes` value {min_page}"
+        ));
+    }
+    let l1 = paper.l1.size_bytes;
+    if block > l1 {
+        return Err(format!(
+            "`block_bytes` value {block} exceeds the {l1}-byte L1 cache"
+        ));
+    }
+    for system in systems {
+        let no_lines = system.block_cache.and_then(|c| c.lines_at(block)) == Some(0);
+        let no_frames = system.page_cache.and_then(|c| c.frames_at(page)) == Some(0);
+        if no_lines || no_frames {
+            return Err(format!(
+                "page {page} / block {block} bytes leave the {} {} cache empty",
+                system.name,
+                if no_lines { "block" } else { "page" }
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -356,6 +412,24 @@ mod tests {
             served_point.get_str("cache_key").unwrap(),
             direct.points[0].cache_key.to_hex()
         );
+        // A leftover `workers` field is an unknown key, ignored like any
+        // other: a fresh service gives the same fingerprints.
+        let leftover = TINY.replace(r#""threads":2"#, r#""threads":2,"workers":4"#);
+        assert_ne!(leftover, TINY);
+        let (again, _) = collect(&SweepService::in_memory(), &leftover);
+        let fingerprints = |lines: &[String]| -> Vec<String> {
+            lines[..2]
+                .iter()
+                .map(|l| {
+                    parse(l)
+                        .unwrap()
+                        .get_str("fingerprint")
+                        .unwrap()
+                        .to_string()
+                })
+                .collect()
+        };
+        assert_eq!(fingerprints(&again), fingerprints(&lines));
     }
 
     #[test]
@@ -393,6 +467,27 @@ mod tests {
             ),
             (r#"{"kind":"wat","id":"e"}"#, "unknown request kind"),
             (r#"not json"#, "bad literal"),
+            (r#"{"kind":"sweep","id":"e","nodes":[0]}"#, "at least 1"),
+            (
+                r#"{"kind":"sweep","id":"e","procs_per_node":[4,0]}"#,
+                "at least 1",
+            ),
+            (
+                r#"{"kind":"sweep","id":"e","page_bytes":[1000]}"#,
+                "not a power of two",
+            ),
+            (
+                r#"{"kind":"sweep","id":"e","page_bytes":[1024],"block_bytes":[2048]}"#,
+                "exceeds",
+            ),
+            (
+                r#"{"kind":"sweep","id":"e","page_bytes":[32768],"block_bytes":[32768]}"#,
+                "L1 cache",
+            ),
+            (
+                r#"{"kind":"sweep","id":"e","systems":["r-numa"],"page_bytes":[1073741824]}"#,
+                "R-NUMA page cache empty",
+            ),
         ] {
             let (lines, action) = collect(&service, bad);
             assert_eq!(action, Action::Continue);

@@ -1,38 +1,36 @@
 //! Bounded-memory smoke binary: runs one workload simulation through the
-//! fused or threaded streaming trace pipeline, or by materializing the
-//! whole trace first.
+//! fused streaming trace pipeline, or by materializing the whole trace
+//! first.
 //!
-//! The CI bounded-memory job (and `tests/streaming.rs`) runs this under a
-//! `ulimit -v` address-space ceiling sized so that the streamed paths
-//! complete while the materialized path aborts on allocation — the
+//! The CI bounded-memory job (and `tests/api_parity.rs`) runs this under a
+//! `ulimit -v` address-space ceiling sized so that the fused path
+//! completes while the materialized path aborts on allocation — the
 //! executable proof that streaming keeps peak memory flat at paper scale.
 //!
 //! `--adversarial` is the quiet-processor regression mode: it drives a
-//! ThreadedSource over a synthetic stream whose processor 1 goes quiet
+//! FusedSource over a step generator whose processor 1 goes quiet
 //! immediately (no end marker until the very end) and pulls processor 1
 //! first — the pull order that used to buffer the entire remaining trace.
 //! With the window cap the drain now stops at the cap and reports
 //! `TraceError::StreamWindowExceeded`, so the run fits the same ceiling
-//! under which the old unbounded demux would abort.
+//! under which an unbounded demux would abort.
 //!
 //! ```text
-//! memsmoke [--materialize|--stream|--fused|--threaded|--adversarial]
+//! memsmoke [--materialize|--fused|--adversarial]
 //!          [--paper] [--workload NAME] [--system cc-numa|r-numa]
 //! ```
 
 use dsm_repro::prelude::*;
+use dsm_repro::trace::{EventSink, StepWriter, TraceEvent};
 
 enum Mode {
     Materialize,
-    /// Automatic fused-vs-threaded pick (whatever `stream()` chooses).
-    Auto,
     Fused,
-    Threaded,
     Adversarial,
 }
 
 fn main() {
-    let mut mode = Mode::Auto;
+    let mut mode = Mode::Fused;
     let mut scale = Scale::Paper;
     let mut workload = String::from("radix");
     let mut system = String::from("cc-numa");
@@ -41,9 +39,7 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--materialize" => mode = Mode::Materialize,
-            "--stream" => mode = Mode::Auto,
             "--fused" => mode = Mode::Fused,
-            "--threaded" => mode = Mode::Threaded,
             "--adversarial" => mode = Mode::Adversarial,
             "--paper" => scale = Scale::Paper,
             "--reduced" => scale = Scale::Reduced,
@@ -59,7 +55,7 @@ fn main() {
             }
             "-h" | "--help" => {
                 println!(
-                    "usage: memsmoke [--materialize|--stream|--fused|--threaded|--adversarial] \
+                    "usage: memsmoke [--materialize|--fused|--adversarial] \
                      [--paper|--reduced] [--workload NAME] [--system cc-numa|r-numa]"
                 );
                 return;
@@ -87,17 +83,9 @@ fn main() {
             let trace = wl.generate(&cfg);
             ("materialized", sim.run(&trace))
         }
-        Mode::Auto => {
-            let mut source = stream(wl, cfg);
-            ("streamed", sim.run_source(&mut source))
-        }
         Mode::Fused => {
             let mut source = fused(wl.as_ref(), &cfg);
             ("fused", sim.run_source(&mut source))
-        }
-        Mode::Threaded => {
-            let mut source = stream_threaded(wl, cfg);
-            ("threaded", sim.run_source(&mut source))
         }
         Mode::Adversarial => unreachable!("handled above"),
     };
@@ -112,28 +100,50 @@ fn main() {
     );
 }
 
-/// The quiet-processor blow-up, contained: pull an (endless-ish) stream in
-/// the adversarial order and prove the demux gives up at its cap instead
-/// of buffering the trace.  Exits 0 when the cap fired as designed.
-fn adversarial_quiet_processor_pull() {
-    use dsm_repro::trace::{StepWriter, TraceEvent};
+/// Reads processor 0 emits before any end marker: ~640 MB if the demux
+/// parked them all.
+const QUIET_EVENTS: u64 = 40_000_000;
 
-    const EVENTS: u64 = 40_000_000; // ~640 MB if the demux parked them all
-    const CAP: usize = 1 << 20;
+/// A step generator for the quiet-processor shape: processor 0 reads
+/// [`QUIET_EVENTS`] addresses, 1024 per step, while processor 1 emits
+/// nothing until the very end.
+struct QuietProc {
+    writer: StepWriter,
+    next: u64,
+}
 
-    let topo = Topology::new(2, 1);
-    let mut source = ThreadedSource::spawn("quiet-proc", topo, move |sink| {
-        let mut w = StepWriter::new(topo);
-        for i in 0..EVENTS {
-            w.read(sink, ProcId(0), GlobalAddr((i % 1_000_000) * 64));
+impl StepGenerator for QuietProc {
+    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
+        let end = (self.next + 1024).min(QUIET_EVENTS);
+        for i in self.next..end {
+            self.writer
+                .read(sink, ProcId(0), GlobalAddr((i % 1_000_000) * 64));
+        }
+        self.next = end;
+        if end < QUIET_EVENTS {
+            return true;
         }
         sink.end_of_stream(ProcId(0));
         // Proc 1's end marker only lands here, after the whole stream:
         // exactly the shape that used to reintroduce O(trace) memory.
         sink.event(ProcId(1), TraceEvent::Compute(1));
         sink.end_of_stream(ProcId(1));
-    })
-    .with_window_cap(CAP);
+        false
+    }
+}
+
+/// The quiet-processor blow-up, contained: pull an (endless-ish) stream in
+/// the adversarial order and prove the demux gives up at its cap instead
+/// of buffering the trace.  Exits 0 when the cap fired as designed.
+fn adversarial_quiet_processor_pull() {
+    const CAP: usize = 1 << 20;
+
+    let topo = Topology::new(2, 1);
+    let generator = QuietProc {
+        writer: StepWriter::new(topo),
+        next: 0,
+    };
+    let mut source = FusedSource::new("quiet-proc", topo, Box::new(generator)).with_window_cap(CAP);
 
     // The adversarial order: ask for the quiet processor first.
     let got = source.next_event(ProcId(1));

@@ -1,10 +1,12 @@
 //! Streaming trace pipeline integration: incremental statistics, the
 //! record/replay format end-to-end through the simulator and the experiment
-//! harness, fused/threaded/materialized fingerprint parity, the repaired
-//! quiet-processor exhaustion window, and the fallible `try_run` surface.
+//! harness, fused/materialized fingerprint parity, the repaired
+//! quiet-processor exhaustion window, corrupt replay files, and the
+//! fallible `try_run` surface.
 
 use dsm_repro::bench::{Experiment, SystemSet};
 use dsm_repro::prelude::*;
+use dsm_repro::trace::{EventSink, StepWriter};
 
 /// Satellite requirement: incremental `TraceStats` accumulated while a
 /// stream is drained must equal batch `ProgramTrace::stats()` for all seven
@@ -14,7 +16,7 @@ fn streamed_stats_equal_batch_stats_for_all_workloads() {
     let cfg = WorkloadConfig::reduced();
     for w in catalog() {
         let batch = w.generate(&cfg).stats();
-        let mut source = stream(by_name(w.name()).expect("catalog name"), cfg);
+        let mut source = fused(w.as_ref(), &cfg);
         for p in cfg.topology.proc_ids() {
             while source.next_event(p).is_some() {}
         }
@@ -27,10 +29,9 @@ fn streamed_stats_equal_batch_stats_for_all_workloads() {
     }
 }
 
-/// All three source implementations report *identical* statistics
-/// mid-stream: exactly the events the consumer has pulled, no matter
-/// whether the source is a materialized cursor, a fused generator or a
-/// generator thread.
+/// Both source implementations report *identical* statistics mid-stream:
+/// exactly the events the consumer has pulled, whether the source is a
+/// materialized cursor or a fused generator.
 #[test]
 fn all_sources_report_identical_stats_mid_stream() {
     let cfg = WorkloadConfig::reduced_for_tests();
@@ -38,17 +39,12 @@ fn all_sources_report_identical_stats_mid_stream() {
     let trace = w.generate(&cfg);
     let mut cursor = trace.source();
     let mut fused_src = fused(w.as_ref(), &cfg);
-    let mut threaded_src = stream_threaded(by_name("lu").unwrap(), cfg);
 
     // Pull an uneven prefix: 500 events of proc 0, 100 of proc 5.
     let pulls = [(ProcId(0), 500usize), (ProcId(5), 100)];
     for (p, n) in pulls {
         for _ in 0..n {
-            let a = cursor.next_event(p);
-            let b = fused_src.next_event(p);
-            let c = threaded_src.next_event(p);
-            assert_eq!(a, b);
-            assert_eq!(a, c);
+            assert_eq!(cursor.next_event(p), fused_src.next_event(p));
         }
     }
     let reference = cursor.stats_so_far();
@@ -58,18 +54,13 @@ fn all_sources_report_identical_stats_mid_stream() {
         reference,
         "fused mid-stream stats"
     );
-    assert_eq!(
-        threaded_src.stats_so_far(),
-        reference,
-        "threaded mid-stream stats"
-    );
 }
 
-/// The tentpole parity requirement: fused, threaded and materialized
-/// deliveries of every workload produce bit-identical `SimResult`
-/// fingerprints — at reduced scale and at a custom (non-Table-2) scale.
+/// The tentpole parity requirement: fused and materialized deliveries of
+/// every workload produce bit-identical `SimResult` fingerprints — at
+/// reduced scale and at a custom (non-Table-2) scale.
 #[test]
-fn fused_threaded_and_materialized_runs_are_fingerprint_identical() {
+fn fused_and_materialized_runs_are_fingerprint_identical() {
     let sim = ClusterSimulator::new(MachineConfig::PAPER, System::cc_numa().build());
     for cfg in [
         WorkloadConfig::reduced_for_tests(),
@@ -78,8 +69,6 @@ fn fused_threaded_and_materialized_runs_are_fingerprint_identical() {
         for w in catalog() {
             let materialized = sim.run(&w.generate(&cfg));
             let fused_run = sim.run_source(&mut fused(w.as_ref(), &cfg));
-            let threaded_run =
-                sim.run_source(&mut stream_threaded(by_name(w.name()).unwrap(), cfg));
             assert_eq!(
                 materialized.fingerprint(),
                 fused_run.fingerprint(),
@@ -87,41 +76,48 @@ fn fused_threaded_and_materialized_runs_are_fingerprint_identical() {
                 w.name(),
                 cfg.scale
             );
-            assert_eq!(
-                materialized.fingerprint(),
-                threaded_run.fingerprint(),
-                "{} threaded diverged at {:?}",
-                w.name(),
-                cfg.scale
-            );
             assert_eq!(materialized, fused_run);
-            assert_eq!(materialized, threaded_run);
         }
     }
 }
 
+/// A step generator for the quiet-processor shape: processor 0 reads
+/// 2M addresses in 1024-event steps and no processor emits an end marker
+/// until the very end.
+struct QuietProc {
+    writer: StepWriter,
+    next: u64,
+}
+
+impl StepGenerator for QuietProc {
+    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
+        const EVENTS: u64 = 2_000_000;
+        let end = (self.next + 1024).min(EVENTS);
+        for i in self.next..end {
+            self.writer
+                .read(sink, ProcId(0), GlobalAddr((i % 100_000) * 64));
+        }
+        self.next = end;
+        end < EVENTS
+    }
+}
+
 /// The quiet-processor regression (memsmoke-style, in-process): pulling a
-/// ThreadedSource in the adversarial order — the quiet processor first —
+/// FusedSource in the adversarial order — the quiet processor first —
 /// against a stream with no early end marker must stop at the window cap
 /// with `TraceError::StreamWindowExceeded` instead of buffering the whole
 /// trace (the pre-repair behaviour, which this test's tight cap stands in
 /// for a memory ceiling).
 #[test]
 fn adversarial_quiet_processor_pull_is_capped() {
-    use dsm_repro::trace::StepWriter;
-
     const CAP: usize = 50_000;
     let topo = Topology::new(2, 1);
     let build = || {
-        ThreadedSource::spawn("quiet", topo, move |sink| {
-            let mut w = StepWriter::new(topo);
-            for i in 0..2_000_000u64 {
-                w.read(sink, ProcId(0), GlobalAddr((i % 100_000) * 64));
-            }
-            // No per-processor end markers until the very end: the
-            // adversarial shape.
-        })
-        .with_window_cap(CAP)
+        let generator = QuietProc {
+            writer: StepWriter::new(topo),
+            next: 0,
+        };
+        FusedSource::new("quiet", topo, Box::new(generator)).with_window_cap(CAP)
     };
 
     // Direct pull of the quiet processor.
@@ -183,7 +179,7 @@ fn workload_streams_survive_adversarial_pull_orders_within_the_window() {
 fn recorded_traces_replay_bit_identically() {
     let cfg = WorkloadConfig::reduced();
     let path = std::env::temp_dir().join("dsm-repro-streaming-ocean.trc");
-    let mut source = stream(by_name("ocean").unwrap(), cfg);
+    let mut source = fused(by_name("ocean").unwrap().as_ref(), &cfg);
     dsm_repro::trace::record_to_file(&mut source, &path).expect("record ocean");
     // Recording drained the stream completely: stats match the batch path.
     assert_eq!(
@@ -221,6 +217,36 @@ fn recorded_traces_replay_bit_identically() {
         from_generator.per_workload[0].results
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// A recorded DSMTRC01 file cut short mid-record replays into an `Err`
+/// from `try_run_source`, not a panic and not a silently shorter run.
+#[test]
+fn truncated_replay_files_are_errors_not_panics() {
+    let cfg = WorkloadConfig::reduced_for_tests();
+    let mut bytes = Vec::new();
+    let mut source = fused(by_name("lu").unwrap().as_ref(), &cfg);
+    dsm_repro::trace::record(&mut source, &mut bytes).expect("record lu");
+    // Walk the records (`proc u16 | tag u8 | payload`) past the file's
+    // midpoint and cut one byte into the next one.
+    let mut at = 8 + 4 + "lu".len() + 4;
+    while at < bytes.len() / 2 {
+        at += 3 + match bytes[at + 2] {
+            0 | 1 => 8,
+            2..=5 => 4,
+            _ => 0,
+        };
+    }
+    let cut = at + 1;
+    let mut replay = ReplaySource::from_reader(&bytes[..cut]).expect("header intact");
+    let sim = ClusterSimulator::new(MachineConfig::PAPER, System::cc_numa().build());
+    match sim.try_run_source(&mut replay) {
+        Err(TraceError::CorruptReplay { trace, message }) => {
+            assert_eq!(trace, "lu");
+            assert!(!message.is_empty());
+        }
+        other => panic!("expected CorruptReplay from a truncated file, got {other:?}"),
+    }
 }
 
 /// `try_run` reports malformed traces as values; `run` stays the panicking
