@@ -63,9 +63,15 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
     }
 }
 
-/// The sink-less emission core: barrier numbering, per-processor event
+/// The sink-less emission core: per-processor barrier numbering and event
 /// counts and the implicit think-cycle delay, with the [`EventSink`]
 /// borrowed per call instead of owned.
+///
+/// Barriers are numbered per processor: a processor's k-th barrier carries
+/// id k.  That lets a demand-driven generator hand one processor its
+/// barrier the moment that processor's slice of a phase ends, while the
+/// others are still mid-slice; [`StepWriter::barrier_all`] is the
+/// everyone-at-once special case.
 ///
 /// This is what makes generators *resumable*: a step-function generator
 /// keeps its `StepWriter` (and loop counters) across steps while each
@@ -76,7 +82,8 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
 #[derive(Debug, Clone)]
 pub struct StepWriter {
     topology: Topology,
-    next_barrier: u32,
+    /// Barriers emitted per processor (the id of its next barrier).
+    barriers: Vec<u32>,
     emitted: Vec<usize>,
     /// Compute cycles automatically inserted before every access, modelling
     /// the non-shared work between shared references.
@@ -88,7 +95,7 @@ impl StepWriter {
     pub fn new(topology: Topology) -> Self {
         StepWriter {
             topology,
-            next_barrier: 0,
+            barriers: vec![0; topology.total_procs()],
             emitted: vec![0; topology.total_procs()],
             think_cycles: 0,
         }
@@ -134,27 +141,35 @@ impl StepWriter {
         self.emit(sink, proc, TraceEvent::Unlock(lock));
     }
 
-    /// Emit a global barrier: every processor gets the same fresh barrier id.
+    /// Emit `proc`'s next barrier: its k-th barrier carries id k.
+    pub fn barrier(&mut self, sink: &mut dyn EventSink, proc: ProcId) {
+        let id = self.barriers[proc.index()];
+        self.barriers[proc.index()] += 1;
+        self.emit(sink, proc, TraceEvent::Barrier(id));
+    }
+
+    /// Emit a global barrier: every processor gets its next barrier, which
+    /// is the same id everywhere when every processor has had the same
+    /// number of barriers.
     pub fn barrier_all(&mut self, sink: &mut dyn EventSink) {
-        let id = self.next_barrier;
-        self.next_barrier += 1;
         for p in 0..self.topology.total_procs() {
-            self.emit(sink, ProcId(p as u16), TraceEvent::Barrier(id));
+            self.barrier(sink, ProcId(p as u16));
         }
     }
 
-    /// Mark every processor's stream complete (the generators end all
-    /// processors together at their final barrier).  Call exactly once, at
-    /// the end of emission.
+    /// Mark every processor's stream complete, for generators whose
+    /// processors all end together (straight-line `emit` code).  Call
+    /// exactly once, at the end of emission.
     pub fn finish(&mut self, sink: &mut dyn EventSink) {
         for p in 0..self.topology.total_procs() {
             sink.end_of_stream(ProcId(p as u16));
         }
     }
 
-    /// Number of barriers emitted so far.
+    /// Number of barriers emitted so far (to the processor that has had
+    /// the most).
     pub fn barriers_emitted(&self) -> u32 {
-        self.next_barrier
+        self.barriers.iter().copied().max().unwrap_or(0)
     }
 
     /// Number of events emitted by `proc` so far.

@@ -332,6 +332,10 @@ impl<R: Read> TraceSource for ReplaySource<R> {
         self.demux.buffered_events()
     }
 
+    fn peak_buffered_events(&self) -> usize {
+        self.demux.peak_buffered_events()
+    }
+
     fn take_error(&mut self) -> Option<TraceError> {
         self.demux.take_error()
     }

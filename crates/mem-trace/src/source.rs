@@ -19,22 +19,27 @@
 //! *pulled* so far ([`TraceSource::stats_so_far`]); once a source is drained
 //! these equal what [`ProgramTrace::stats`] would report for the same trace.
 //!
-//! # The exhaustion window, and why it is bounded
+//! # The demultiplexing window, and why it is bounded
 //!
-//! A demultiplexing source (fused or replayed) learns that a
-//! processor's stream ended either from an explicit per-processor
-//! end-of-stream marker ([`crate::builder::EventSink::end_of_stream`],
-//! which the workload generators emit for every processor at their final
-//! barrier) or from the end of the whole underlying stream.  Between a
-//! processor going quiet and its end marker arriving, `exhausted`/
-//! `next_event` queries for it must read (and park) other processors'
-//! events.  Two mechanisms keep that window from silently reintroducing
-//! O(trace) memory: the end markers bound it to nothing for well-formed
-//! generators, and a hard cap ([`DEFAULT_WINDOW_CAP`], adjustable per
-//! source with `with_window_cap`) turns a genuinely unbounded window — an
-//! adversarial pull order against a stream whose processors do not end
-//! together — into [`TraceError::StreamWindowExceeded`], reported through
-//! [`TraceSource::take_error`], instead of unbounded queue growth.
+//! A demultiplexing source (fused or replayed) parks the events it has read
+//! for processors other than the one being pulled.  Three mechanisms keep
+//! that window from silently reintroducing O(trace) memory:
+//!
+//! * **demand-driven emission** — a [`FusedSource`] tells its generator
+//!   which processor it is pulling, and the Table 2 generators emit that
+//!   processor's next chunk, so in the simulator's pull order each
+//!   processor parks about one chunk;
+//! * **end-of-stream markers** ([`crate::builder::EventSink::end_of_stream`],
+//!   which the generators emit for each processor right after its final
+//!   barrier) answer "is this processor done?" without reading the rest of
+//!   every other stream;
+//! * **a hard cap** ([`default_window_cap`], adjustable per source with
+//!   `with_window_cap`) turns a genuinely unbounded window — an adversarial
+//!   pull order against a stream whose processors do not end together —
+//!   into [`TraceError::StreamWindowExceeded`], reported through
+//!   [`TraceSource::take_error`], instead of unbounded queue growth.
+//!
+//! [`TraceSource::peak_buffered_events`] reports how wide the window got.
 
 use std::collections::VecDeque;
 
@@ -113,6 +118,13 @@ pub trait TraceSource {
         0
     }
 
+    /// The high-water mark of [`buffered_events`](TraceSource::buffered_events)
+    /// over the source's life so far: the widest the demultiplexing window
+    /// has been.  0 for sources that never park events.
+    fn peak_buffered_events(&self) -> usize {
+        0
+    }
+
     /// The error that cut this stream short, if any (taking it resets the
     /// slot).  A poisoned source answers `next_event`/`exhausted` as if
     /// every stream ended; consumers that care — the simulator — check this
@@ -144,6 +156,9 @@ impl<S: TraceSource + ?Sized> TraceSource for Box<S> {
     fn buffered_events(&self) -> usize {
         (**self).buffered_events()
     }
+    fn peak_buffered_events(&self) -> usize {
+        (**self).peak_buffered_events()
+    }
     fn take_error(&mut self) -> Option<TraceError> {
         (**self).take_error()
     }
@@ -170,6 +185,9 @@ impl<S: TraceSource + ?Sized> TraceSource for &mut S {
     }
     fn buffered_events(&self) -> usize {
         (**self).buffered_events()
+    }
+    fn peak_buffered_events(&self) -> usize {
+        (**self).peak_buffered_events()
     }
     fn take_error(&mut self) -> Option<TraceError> {
         (**self).take_error()
@@ -274,20 +292,28 @@ pub const DEFAULT_WINDOW_CAP: usize = 4 << 20;
 
 /// Per-processor allowance folded into the default window cap.
 ///
-/// The legitimate window is a fraction of one phase, and phases grow with
-/// the machine — radix's global-rank phase is O(procs²) events (every
-/// processor reads every processor's histogram), so a flat cap that is
-/// generous at 32 processors would false-positive on a 384-processor
-/// sweep point.  256K events per processor covers the widest phase of
-/// every Table 2 generator up to ~2000 processors.
+/// The cap is not what bounds the window in normal runs; demand-driven
+/// emission does.  Measured peaks when the simulator pulls (CC-NUMA):
+///
+/// * reduced scale, 8x4 paper machine: 16–25K events for every Table 2
+///   workload (cholesky's whole-task items are the widest);
+/// * paper scale, 8x4: 16–20K, cholesky 45K;
+/// * paper-scale radix on 128x1: 67K.
+///
+/// The cap is for pull orders that defeat the demand hint.  A processor
+/// pulled past its barrier makes the generator fill the other processors'
+/// slices, so a reverse-order drain parks up to everything the other
+/// processors emit (3.5M events for paper barnes on 8x4, 5.5M for paper
+/// radix on 128x1).  Phases grow with the machine — radix's global-rank phase is
+/// O(procs²) events — so the cap grows with it.
 pub const WINDOW_CAP_PER_PROC: usize = 256 << 10;
 
 /// The default parked-event window cap for a machine: the flat
 /// [`DEFAULT_WINDOW_CAP`] floor or [`WINDOW_CAP_PER_PROC`] per processor,
-/// whichever is larger.  Far above any legitimate phase window at that
-/// machine size, far below a whole trace, so it trips on a genuine
-/// buffering blow-up (an adversarial pull order against a stream without
-/// early end markers) long before the process feels it.
+/// whichever is larger.  Hundreds of times the simulator-order window, yet
+/// a fixed bound, so it trips on a genuine buffering blow-up (an
+/// adversarial pull order against a stream without early end markers)
+/// long before the process feels it.
 pub fn default_window_cap(topology: Topology) -> usize {
     DEFAULT_WINDOW_CAP.max(topology.total_procs() * WINDOW_CAP_PER_PROC)
 }
@@ -307,6 +333,8 @@ pub(crate) struct Demux {
     stats: StatsAccumulator,
     /// Total parked events across all buffers.
     buffered: usize,
+    /// High-water mark of `buffered`.
+    peak: usize,
     window_cap: usize,
     poisoned: Option<TraceError>,
 }
@@ -318,6 +346,7 @@ impl Demux {
             ended: vec![false; topology.total_procs()],
             stats: StatsAccumulator::new(topology),
             buffered: 0,
+            peak: 0,
             window_cap: default_window_cap(topology),
             poisoned: None,
         }
@@ -342,6 +371,7 @@ impl Demux {
             return;
         }
         self.buffered += 1;
+        self.peak = self.peak.max(self.buffered);
         self.buffers[proc.index()].push_back(ev);
     }
 
@@ -416,6 +446,10 @@ impl Demux {
         self.buffered
     }
 
+    pub(crate) fn peak_buffered_events(&self) -> usize {
+        self.peak
+    }
+
     pub(crate) fn stats(&self) -> TraceStats {
         self.stats.snapshot()
     }
@@ -434,36 +468,60 @@ impl EventSink for DemuxSink<'_> {
     }
 }
 
-/// A resumable trace generator: the producer half of [`FusedSource`].
+/// A resumable, demand-driven trace generator: the producer half of
+/// [`FusedSource`].
 ///
 /// Each [`step`](StepGenerator::step) call emits a bounded batch of events
-/// (typically one processor's slice of one phase) into the sink it is
-/// handed and returns `true` while more remain.  The generator owns all of
-/// its state — loop counters, RNG, a [`crate::builder::StepWriter`] — so
-/// the consumer can interleave steps with event pulls on one thread.
+/// into the sink it is handed and returns `true` while more remain.  The
+/// `want` argument is a demand hint: the processor whose queue the consumer
+/// found empty.  A generator should emit the next chunk of *that*
+/// processor's stream — events, its next barrier, or its end-of-stream
+/// marker — so a consumer pulling in simulation order only ever parks
+/// about one chunk per processor.  When `want` cannot advance yet (its
+/// slice of the current phase is done and other processors are still
+/// inside theirs, which happens under adversarial pull orders such as a
+/// reverse-order drain, never under the simulator's barrier-respecting
+/// order), the generator makes progress on other processors instead, so
+/// the window falls back to what processor-order emission parks.  Any
+/// processor is a valid hint:
+/// materializing callers pass the same one every step.
 ///
-/// Implementations must emit per-processor end-of-stream markers
-/// ([`crate::builder::StepWriter::finish`]) when done, and must emit the
-/// same event sequences regardless of how the calls are interleaved with
-/// other work: two equally constructed generators stepped to completion
-/// produce bit-identical streams.
+/// The generator owns all of its state — loop counters, RNG snapshots, a
+/// [`crate::builder::StepWriter`] — so the consumer can interleave steps
+/// with event pulls on one thread.  Implementations must:
+///
+/// * emit the same per-processor event sequences regardless of the hints
+///   and of how calls are interleaved with other work, so two equally
+///   constructed generators stepped to completion produce bit-identical
+///   streams;
+/// * emit every processor's end-of-stream marker by the final step (as
+///   soon as its stream is complete, ideally);
+/// * be prepared for the final step — the one returning `false` — to be
+///   a full step: the events it emits are delivered like any other.
 pub trait StepGenerator: Send {
-    /// Emit the next bounded batch into `sink`; `false` once the trace is
-    /// complete (the final call emits the end-of-stream markers).  Not
-    /// called again after returning `false`.
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool;
+    /// Emit the next bounded batch into `sink`, preferably for `want`;
+    /// `false` once the trace is complete.  Not called again after
+    /// returning `false`.
+    fn step(&mut self, want: ProcId, sink: &mut dyn EventSink) -> bool;
 }
 
 /// A [`TraceSource`] that runs its generator *inside* the consumer's pull
 /// loop.
 ///
 /// When the pulled processor's queue is empty, the source steps the
-/// generator until that processor has an event (or its end marker).  No
-/// thread, no channel, no batch copies: events go straight from the
-/// generator's emission into the per-processor queues the consumer pops.
-/// Peak memory is the skew between emission order and consumption order —
-/// for the phase-structured SPLASH generators, a fraction of one phase —
-/// guarded by the same window cap as every demultiplexing source.
+/// generator with that processor as the demand hint until it has an event
+/// (or its end marker).  No thread, no channel, no batch copies: events go
+/// straight from the generator's emission into the per-processor queues
+/// the consumer pops.  Peak memory is the skew between emission order and
+/// consumption order.  With the demand-driven Table 2 generators under the
+/// simulator's pull order that is about one emission chunk per processor:
+/// at reduced scale on the 8x4 paper machine the measured peak is 16–25K
+/// events for every workload (it was 18K–1.04M when generators emitted
+/// whole phase slices in processor order).  Pull orders that run one
+/// processor past its barrier while others lag widen it back to what a
+/// generator without the hint parks (see [`WINDOW_CAP_PER_PROC`]), and the
+/// window cap bounds whatever is left.
+/// [`TraceSource::peak_buffered_events`] reports the high-water mark.
 pub struct FusedSource {
     name: String,
     topology: Topology,
@@ -502,13 +560,19 @@ impl FusedSource {
         self
     }
 
-    /// Run the generator for one step.  Returns `false` once it (or the
-    /// window cap) ended the stream.
-    fn pump(&mut self) -> bool {
+    /// Step the generator once on `want`'s behalf.  Returns `false` when
+    /// no further events can arrive for `want`: its stream already ended,
+    /// or the generator (or the window cap) ended the whole stream.  The
+    /// final step may still have parked events, so callers re-check the
+    /// demux after a `false`.
+    fn pump(&mut self, want: ProcId) -> bool {
+        if self.demux.is_ended(want) {
+            return false;
+        }
         let Some(generator) = &mut self.generator else {
             return false;
         };
-        let more = generator.step(&mut DemuxSink(&mut self.demux));
+        let more = generator.step(want, &mut DemuxSink(&mut self.demux));
         if !more {
             self.generator = None;
             self.demux.end_all();
@@ -533,8 +597,8 @@ impl TraceSource for FusedSource {
             if let Some(ev) = self.demux.pop(proc) {
                 return Some(ev);
             }
-            if self.demux.is_ended(proc) || !self.pump() {
-                return None;
+            if !self.pump(proc) {
+                return self.demux.pop(proc);
             }
         }
     }
@@ -544,8 +608,8 @@ impl TraceSource for FusedSource {
             if self.demux.has_buffered(proc) {
                 return false;
             }
-            if self.demux.is_ended(proc) || !self.pump() {
-                return true;
+            if !self.pump(proc) {
+                return !self.demux.has_buffered(proc);
             }
         }
     }
@@ -559,8 +623,8 @@ impl TraceSource for FusedSource {
             if n > 0 {
                 return n;
             }
-            if self.demux.is_ended(proc) || !self.pump() {
-                return 0;
+            if !self.pump(proc) {
+                return self.demux.pop_burst(proc, out, max);
             }
         }
     }
@@ -571,6 +635,10 @@ impl TraceSource for FusedSource {
 
     fn buffered_events(&self) -> usize {
         self.demux.buffered_events()
+    }
+
+    fn peak_buffered_events(&self) -> usize {
+        self.demux.peak_buffered_events()
     }
 
     fn take_error(&mut self) -> Option<TraceError> {
@@ -615,7 +683,7 @@ mod tests {
     }
 
     impl StepGenerator for ToySteps {
-        fn step(&mut self, sink: &mut dyn EventSink) -> bool {
+        fn step(&mut self, _want: ProcId, sink: &mut dyn EventSink) -> bool {
             let procs = self.pos.len();
             for _ in 0..procs {
                 let p = self.next;
@@ -700,13 +768,71 @@ mod tests {
         assert!(src.take_error().is_none());
     }
 
+    /// A generator that does all of its work in its final step: every
+    /// event arrives in the call that returns `false`.
+    struct FinalStepOnly(Option<ProgramTrace>);
+
+    impl StepGenerator for FinalStepOnly {
+        fn step(&mut self, _want: ProcId, sink: &mut dyn EventSink) -> bool {
+            if let Some(trace) = self.0.take() {
+                for (p, events) in trace.per_proc.iter().enumerate() {
+                    for ev in events {
+                        sink.event(ProcId(p as u16), *ev);
+                    }
+                }
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn events_parked_by_the_final_step_are_delivered() {
+        // Each pull API, used alone, must deliver the events the final
+        // step parked: a processor's first "ended" answer is final, as it
+        // is for the simulator.
+        let trace = toy_trace();
+        let topo = trace.topology;
+        for api in ["next_event", "next_burst", "exhausted"] {
+            let mut src =
+                FusedSource::new("toy", topo, Box::new(FinalStepOnly(Some(trace.clone()))));
+            let mut got: Vec<Vec<TraceEvent>> = vec![Vec::new(); topo.total_procs()];
+            for p in [ProcId(1), ProcId(0)] {
+                let out = &mut got[p.index()];
+                loop {
+                    match api {
+                        "next_event" => match src.next_event(p) {
+                            Some(ev) => out.push(ev),
+                            None => break,
+                        },
+                        "next_burst" => {
+                            if src.next_burst(p, out, 64) == 0 {
+                                break;
+                            }
+                        }
+                        _ => {
+                            if src.exhausted(p) {
+                                break;
+                            }
+                            out.extend(src.next_event(p));
+                        }
+                    }
+                }
+            }
+            assert_eq!(got, trace.per_proc, "{api} lost the final step's events");
+            assert_eq!(src.stats_so_far(), trace.stats(), "{api}");
+            let total: usize = trace.per_proc.iter().map(Vec::len).sum();
+            assert_eq!(src.peak_buffered_events(), total, "{api}");
+            assert!(src.take_error().is_none());
+        }
+    }
+
     #[test]
     fn fused_source_window_cap_poisons_instead_of_growing() {
         // A generator whose proc 0 emits forever while proc 1 stays silent:
         // pulling proc 1 must hit the cap and surface the error, not OOM.
         struct Endless(u64);
         impl StepGenerator for Endless {
-            fn step(&mut self, sink: &mut dyn EventSink) -> bool {
+            fn step(&mut self, _want: ProcId, sink: &mut dyn EventSink) -> bool {
                 sink.event(ProcId(0), TraceEvent::read(GlobalAddr(self.0 * 64)));
                 self.0 += 1;
                 true

@@ -10,7 +10,7 @@
 //! hurt by migrating read-mostly pages back and forth.
 
 use crate::config::{Scale, WorkloadConfig};
-use crate::util::{advance_proc_phase, owned_range};
+use crate::util::{owned_range, skip_draws, PhaseSteps, Phased, ProcRngs};
 use crate::Workload;
 use mem_trace::{AddressSpace, EventSink, ProcId, Segment, StepGenerator, StepWriter, Topology};
 use rand::rngs::SmallRng;
@@ -60,23 +60,25 @@ impl BarnesParams {
     }
 }
 
-enum BarnesState {
-    Init { p: usize },
-    Build { step: u64, p: usize },
-    Force { step: u64, p: usize },
-    Update { step: u64, p: usize },
-    Finish,
+/// Barnes' phases.  Items are the processor's own bodies, except in
+/// `Build`, where an item inserts every eighth of them.
+#[derive(Clone, Copy)]
+enum BarnesPhase {
+    Init,
+    Build { step: u64 },
+    Force { step: u64 },
+    Update { step: u64 },
 }
+
+/// Bodies per tree-build insertion.
+const BUILD_STRIDE: usize = 8;
 
 struct BarnesGen {
     params: BarnesParams,
     topology: Topology,
-    procs: usize,
     bodies: Segment,
     cells: Segment,
-    w: StepWriter,
-    rng: SmallRng,
-    state: BarnesState,
+    rngs: ProcRngs,
 }
 
 impl BarnesGen {
@@ -90,127 +92,123 @@ impl BarnesGen {
         BarnesGen {
             params,
             topology: cfg.topology,
-            procs: cfg.topology.total_procs(),
             bodies,
             cells,
-            w: StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles),
-            rng: SmallRng::seed_from_u64(cfg.seed ^ 0xba53),
-            state: BarnesState::Init { p: 0 },
+            rngs: ProcRngs::new(SmallRng::seed_from_u64(cfg.seed ^ 0xba53)),
+        }
+    }
+
+    fn owned(params: &BarnesParams, topology: Topology, p: usize) -> std::ops::Range<usize> {
+        owned_range(params.bodies as usize, topology, ProcId(p as u16))
+    }
+
+    fn items(params: &BarnesParams, topology: Topology, phase: BarnesPhase, p: usize) -> usize {
+        let bodies = Self::owned(params, topology, p).len();
+        match phase {
+            BarnesPhase::Build { .. } => bodies.div_ceil(BUILD_STRIDE),
+            _ => bodies,
         }
     }
 }
 
-impl StepGenerator for BarnesGen {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
-        let params = &self.params;
-        match self.state {
-            // Initialization: owners write their own bodies.
-            BarnesState::Init { p } => {
-                let proc = ProcId(p as u16);
-                for i in owned_range(params.bodies as usize, self.topology, proc) {
-                    self.w.write(sink, proc, self.bodies.elem(i as u64));
-                }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| BarnesState::Init { p },
-                    || BarnesState::Build { step: 0, p: 0 },
-                );
+impl Phased for BarnesGen {
+    type Phase = BarnesPhase;
+
+    fn next_phase(&self, phase: BarnesPhase) -> Option<BarnesPhase> {
+        Some(match phase {
+            BarnesPhase::Init => BarnesPhase::Build { step: 0 },
+            BarnesPhase::Build { step } => BarnesPhase::Force { step },
+            BarnesPhase::Force { step } => BarnesPhase::Update { step },
+            BarnesPhase::Update { step } if step + 1 < self.params.timesteps => {
+                BarnesPhase::Build { step: step + 1 }
             }
+            BarnesPhase::Update { .. } => return None,
+        })
+    }
+
+    fn slice_len(&self, phase: BarnesPhase, p: usize) -> usize {
+        Self::items(&self.params, self.topology, phase, p)
+    }
+
+    fn enter(&mut self, phase: BarnesPhase) {
+        let params = &self.params;
+        // Draws per item: one fanout per tree level, or the random part of
+        // a force walk plus the sampled neighbours.
+        let per_item = match phase {
+            BarnesPhase::Build { .. } => 4,
+            BarnesPhase::Force { .. } => {
+                params.cells_per_walk.saturating_sub(4) + params.neighbors_per_body
+            }
+            BarnesPhase::Init | BarnesPhase::Update { .. } => return,
+        };
+        let topology = self.topology;
+        self.rngs.enter(topology.total_procs(), |p, rng| {
+            let items = Self::items(params, topology, phase, p) as u64;
+            skip_draws(rng, items * per_item);
+        });
+    }
+
+    fn emit_item(
+        &mut self,
+        phase: BarnesPhase,
+        p: usize,
+        item: usize,
+        w: &mut StepWriter,
+        sink: &mut dyn EventSink,
+    ) {
+        let params = &self.params;
+        let proc = ProcId(p as u16);
+        let start = Self::owned(params, self.topology, p).start;
+        match phase {
+            // Initialization: owners write their own bodies.
+            BarnesPhase::Init => w.write(sink, proc, self.bodies.elem((start + item) as u64)),
             // Phase 1: tree build.  Every processor inserts its bodies,
             // writing a root-to-leaf path of cells under a per-subtree lock.
             // The upper cells (small indices) are touched by everyone.
-            BarnesState::Build { step, p } => {
-                let proc = ProcId(p as u16);
-                let range = owned_range(params.bodies as usize, self.topology, proc);
-                for i in range.step_by(8) {
-                    let lock_id = (i as u32 % 8) + 1;
-                    self.w.lock(sink, proc, lock_id);
-                    // Path from the root: geometrically distributed indices.
-                    let mut idx = 0u64;
-                    for depth in 0..4u64 {
-                        self.w.read(sink, proc, self.cells.elem(idx));
-                        self.w.write(sink, proc, self.cells.elem(idx));
-                        let fanout = 1 + self.rng.gen_range(0..4u64);
-                        idx = (idx * 4 + fanout + depth) % params.cells;
-                    }
-                    self.w.unlock(sink, proc, lock_id);
+            BarnesPhase::Build { .. } => {
+                let i = start + item * BUILD_STRIDE;
+                let lock_id = (i as u32 % 8) + 1;
+                w.lock(sink, proc, lock_id);
+                // Path from the root: geometrically distributed indices.
+                let rng = self.rngs.of(p);
+                let mut idx = 0u64;
+                for depth in 0..4u64 {
+                    w.read(sink, proc, self.cells.elem(idx));
+                    w.write(sink, proc, self.cells.elem(idx));
+                    let fanout = 1 + rng.gen_range(0..4u64);
+                    idx = (idx * 4 + fanout + depth) % params.cells;
                 }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| BarnesState::Build { step, p },
-                    || BarnesState::Force { step, p: 0 },
-                );
+                w.unlock(sink, proc, lock_id);
             }
             // Phase 2: force computation.  Each body's owner walks the upper
             // tree (read-shared cells) and reads a sample of other bodies,
             // then writes its own body's accelerations.
-            BarnesState::Force { step, p } => {
-                let proc = ProcId(p as u16);
-                for i in owned_range(params.bodies as usize, self.topology, proc) {
-                    for walk in 0..params.cells_per_walk {
-                        // Walks are heavily biased towards the top of the
-                        // tree, which is what makes those pages read-shared
-                        // by all nodes.
-                        let cell = if walk < 4 {
-                            walk
-                        } else {
-                            self.rng.gen_range(0..params.cells)
-                        };
-                        self.w.read(sink, proc, self.cells.elem(cell));
-                    }
-                    for _ in 0..params.neighbors_per_body {
-                        let other = self.rng.gen_range(0..params.bodies);
-                        self.w.read(sink, proc, self.bodies.elem(other));
-                    }
-                    self.w.write(sink, proc, self.bodies.elem(i as u64));
+            BarnesPhase::Force { .. } => {
+                let rng = self.rngs.of(p);
+                for walk in 0..params.cells_per_walk {
+                    // Walks are heavily biased towards the top of the tree,
+                    // which is what makes those pages read-shared by all
+                    // nodes.
+                    let cell = if walk < 4 {
+                        walk
+                    } else {
+                        rng.gen_range(0..params.cells)
+                    };
+                    w.read(sink, proc, self.cells.elem(cell));
                 }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| BarnesState::Force { step, p },
-                    || BarnesState::Update { step, p: 0 },
-                );
+                for _ in 0..params.neighbors_per_body {
+                    let other = rng.gen_range(0..params.bodies);
+                    w.read(sink, proc, self.bodies.elem(other));
+                }
+                w.write(sink, proc, self.bodies.elem((start + item) as u64));
             }
             // Phase 3: position update — private to each owner.
-            BarnesState::Update { step, p } => {
-                let proc = ProcId(p as u16);
-                for i in owned_range(params.bodies as usize, self.topology, proc) {
-                    self.w.read(sink, proc, self.bodies.elem(i as u64));
-                    self.w.write(sink, proc, self.bodies.elem(i as u64));
-                }
-                let timesteps = params.timesteps;
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| BarnesState::Update { step, p },
-                    || {
-                        if step + 1 < timesteps {
-                            BarnesState::Build {
-                                step: step + 1,
-                                p: 0,
-                            }
-                        } else {
-                            BarnesState::Finish
-                        }
-                    },
-                );
-            }
-            BarnesState::Finish => {
-                self.w.finish(sink);
-                return false;
+            BarnesPhase::Update { .. } => {
+                let body = self.bodies.elem((start + item) as u64);
+                w.read(sink, proc, body);
+                w.write(sink, proc, body);
             }
         }
-        true
     }
 }
 
@@ -236,7 +234,8 @@ impl Workload for Barnes {
     }
 
     fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
-        Box::new(BarnesGen::new(cfg))
+        let w = StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles);
+        Box::new(PhaseSteps::new(BarnesGen::new(cfg), w, BarnesPhase::Init))
     }
 }
 

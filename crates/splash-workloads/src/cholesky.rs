@@ -16,6 +16,7 @@
 //!   where R-NUMA's relocation overhead lands on the critical path.
 
 use crate::config::{Scale, WorkloadConfig};
+use crate::util::{skip_draws, PhaseSteps, Phased};
 use crate::Workload;
 use mem_trace::{AddressSpace, EventSink, ProcId, Segment, StepGenerator, StepWriter};
 use rand::rngs::SmallRng;
@@ -62,14 +63,14 @@ impl CholeskyParams {
     }
 }
 
-/// Supernode panels initialised per load step (bounds each step's
-/// emission).
-const LOAD_CHUNK: u64 = 32;
-
-enum CholeskyState {
-    Load { from: u64 },
-    Factor { sn: u64 },
-    Finish,
+/// Cholesky's phases; every item is one supernode.
+#[derive(Clone, Copy)]
+enum CholeskyPhase {
+    /// Processor 0 loads every panel.
+    Load,
+    /// Processor `p` factors supernodes `p`, `p + procs`, … (the
+    /// round-robin deal of the task queue).
+    Factor,
 }
 
 struct CholeskyGen {
@@ -77,9 +78,12 @@ struct CholeskyGen {
     procs: u64,
     panels: Segment,
     queue: Segment,
-    w: StepWriter,
+    /// The shared RNG, consumed task by task in supernode order.
     rng: SmallRng,
-    state: CholeskyState,
+    /// Each task's RNG start, snapshotted on entering `Factor`: tasks of
+    /// different processors interleave in the draw order, so one start per
+    /// processor is not enough.
+    task_rngs: Vec<SmallRng>,
 }
 
 impl CholeskyGen {
@@ -93,9 +97,8 @@ impl CholeskyGen {
             procs: cfg.topology.total_procs() as u64,
             panels,
             queue,
-            w: StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles),
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0xc401),
-            state: CholeskyState::Load { from: 0 },
+            task_rngs: Vec::new(),
         }
     }
 
@@ -105,78 +108,100 @@ impl CholeskyGen {
     }
 }
 
-impl StepGenerator for CholeskyGen {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
-        match self.state {
+impl Phased for CholeskyGen {
+    type Phase = CholeskyPhase;
+
+    fn next_phase(&self, phase: CholeskyPhase) -> Option<CholeskyPhase> {
+        match phase {
+            CholeskyPhase::Load => Some(CholeskyPhase::Factor),
+            CholeskyPhase::Factor => None,
+        }
+    }
+
+    fn slice_len(&self, phase: CholeskyPhase, p: usize) -> usize {
+        let supernodes = self.params.supernodes;
+        match phase {
+            CholeskyPhase::Load if p == 0 => supernodes as usize,
+            CholeskyPhase::Load => 0,
+            CholeskyPhase::Factor => {
+                supernodes.saturating_sub(p as u64).div_ceil(self.procs) as usize
+            }
+        }
+    }
+
+    fn enter(&mut self, phase: CholeskyPhase) {
+        if let CholeskyPhase::Factor = phase {
+            let supernodes = self.params.supernodes;
+            let per_task = self.params.updates_per_supernode * (1 + self.params.lines_per_update);
+            for sn in 0..supernodes {
+                self.task_rngs.push(self.rng.clone());
+                // The last supernode has no later columns to update.
+                if sn + 1 < supernodes {
+                    skip_draws(&mut self.rng, per_task);
+                }
+            }
+        }
+    }
+
+    fn emit_item(
+        &mut self,
+        phase: CholeskyPhase,
+        p: usize,
+        item: usize,
+        w: &mut StepWriter,
+        sink: &mut dyn EventSink,
+    ) {
+        let params = &self.params;
+        match phase {
             // Processor 0 loads the sparse matrix: every panel page is
             // homed on node 0 by first-touch.
-            CholeskyState::Load { from } => {
-                let to = (from + LOAD_CHUNK).min(self.params.supernodes);
-                for sn in from..to {
-                    for line in 0..self.params.lines_per_supernode {
-                        let addr = self.panel_line(sn, line);
-                        self.w.write(sink, ProcId(0), addr);
-                    }
-                }
-                if to < self.params.supernodes {
-                    self.state = CholeskyState::Load { from: to };
-                } else {
-                    self.w.barrier_all(sink);
-                    self.state = CholeskyState::Factor { sn: 0 };
+            CholeskyPhase::Load => {
+                for line in 0..params.lines_per_supernode {
+                    w.write(sink, ProcId(0), self.panel_line(item as u64, line));
                 }
             }
             // Task-queue driven factorization.  Tasks are dealt round-robin
             // to emulate self-scheduling; each dequeue goes through the
             // queue lock.
-            CholeskyState::Factor { sn } => {
-                let supernodes = self.params.supernodes;
-                let p = ProcId((sn % self.procs) as u16);
+            CholeskyPhase::Factor => {
+                let supernodes = params.supernodes;
+                let sn = p as u64 + item as u64 * self.procs;
+                let p = ProcId(p as u16);
                 // Dequeue.
-                self.w.lock(sink, p, 0);
+                w.lock(sink, p, 0);
                 let q0 = self.queue.elem(0);
-                self.w.read(sink, p, q0);
-                self.w.write(sink, p, q0);
-                self.w.unlock(sink, p, 0);
+                w.read(sink, p, q0);
+                w.write(sink, p, q0);
+                w.unlock(sink, p, 0);
 
                 // Factor the supernode panel: read-modify-write every line
                 // once (streaming, no reuse).
-                for line in 0..self.params.lines_per_supernode {
+                for line in 0..params.lines_per_supernode {
                     let addr = self.panel_line(sn, line);
-                    self.w.read(sink, p, addr);
-                    self.w.write(sink, p, addr);
+                    w.read(sink, p, addr);
+                    w.write(sink, p, addr);
                 }
 
                 // Update later columns selected by the (synthetic) sparsity
                 // pattern: reads of this panel, scattered writes into later
                 // panels.
-                for _ in 0..self.params.updates_per_supernode {
+                let mut rng = self.task_rngs[sn as usize].clone();
+                for _ in 0..params.updates_per_supernode {
                     if sn + 1 >= supernodes {
                         break;
                     }
-                    let target = sn + 1 + self.rng.gen_range(0..(supernodes - sn - 1)).min(64);
-                    for line in 0..self.params.lines_per_update {
-                        let src = self.rng.gen_range(0..self.params.lines_per_supernode);
+                    let target = sn + 1 + rng.gen_range(0..(supernodes - sn - 1)).min(64);
+                    for line in 0..params.lines_per_update {
+                        let src = rng.gen_range(0..params.lines_per_supernode);
                         let src_addr = self.panel_line(sn, src);
                         let tgt_addr = self.panel_line(target, line);
-                        self.w.read(sink, p, src_addr);
-                        self.w.read(sink, p, tgt_addr);
-                        self.w.write(sink, p, tgt_addr);
+                        w.read(sink, p, src_addr);
+                        w.read(sink, p, tgt_addr);
+                        w.write(sink, p, tgt_addr);
                     }
                 }
-
-                if sn + 1 < supernodes {
-                    self.state = CholeskyState::Factor { sn: sn + 1 };
-                } else {
-                    self.w.barrier_all(sink);
-                    self.state = CholeskyState::Finish;
-                }
-            }
-            CholeskyState::Finish => {
-                self.w.finish(sink);
-                return false;
             }
         }
-        true
     }
 }
 
@@ -202,7 +227,12 @@ impl Workload for Cholesky {
     }
 
     fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
-        Box::new(CholeskyGen::new(cfg))
+        let w = StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles);
+        Box::new(PhaseSteps::new(
+            CholeskyGen::new(cfg),
+            w,
+            CholeskyPhase::Load,
+        ))
     }
 }
 

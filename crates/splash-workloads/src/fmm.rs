@@ -12,11 +12,12 @@
 //! replications per node for fmm).
 
 use crate::config::{Scale, WorkloadConfig};
-use crate::util::{advance_proc_phase, owned_range};
+use crate::util::{owned_range, PhaseSteps, Phased, ProcRngs};
 use crate::Workload;
 use mem_trace::{AddressSpace, EventSink, ProcId, Segment, StepGenerator, StepWriter, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Fast Multipole Method N-body simulation.
 pub struct Fmm;
@@ -59,23 +60,20 @@ impl FmmParams {
     }
 }
 
-/// Boxes initialised per setup step (keeps each step's emission bounded).
-const SETUP_CHUNK: u64 = 256;
-
-enum FmmState {
-    Setup { from: u64 },
-    Compute { step: u64, p: usize },
-    Finish,
+/// FMM's phases; every item is one box.
+#[derive(Clone, Copy)]
+enum FmmPhase {
+    /// Processor 0 initialises every box.
+    Setup,
+    /// Every processor computes its own boxes.
+    Compute { step: u64 },
 }
 
 struct FmmGen {
     params: FmmParams,
     topology: Topology,
-    procs: usize,
     boxes: Segment,
-    w: StepWriter,
-    rng: SmallRng,
-    state: FmmState,
+    rngs: ProcRngs,
 }
 
 impl FmmGen {
@@ -86,95 +84,109 @@ impl FmmGen {
         FmmGen {
             params,
             topology: cfg.topology,
-            procs: cfg.topology.total_procs(),
             boxes,
-            w: StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles),
-            rng: SmallRng::seed_from_u64(cfg.seed ^ 0xf33),
-            state: FmmState::Setup { from: 0 },
+            rngs: ProcRngs::new(SmallRng::seed_from_u64(cfg.seed ^ 0xf33)),
         }
     }
 
     fn line_of(&self, box_id: u64, line: u64) -> mem_trace::GlobalAddr {
         self.boxes.elem(box_id * self.params.lines_per_box + line)
     }
+
+    fn owned(params: &FmmParams, topology: Topology, p: usize) -> Range<usize> {
+        owned_range(params.boxes as usize, topology, ProcId(p as u16))
+    }
+
+    /// Box and line of interaction `i` of `box_id`, a box in `owned`.  The
+    /// number of draws depends on the first one, so the phase snapshot
+    /// replays this same code without emitting.
+    fn interaction(
+        params: &FmmParams,
+        rng: &mut SmallRng,
+        owned: &Range<usize>,
+        box_id: u64,
+        i: u64,
+    ) -> (u64, u64) {
+        let owned_len = owned.len() as u64;
+        // 80% of the interaction list stays within the processor's own
+        // spatial region, the rest spills to the neighbouring region.
+        let neighbor = if rng.gen_range(0..10) < 8 || owned_len == 0 {
+            owned.start as u64 + rng.gen_range(0..owned_len.max(1))
+        } else {
+            (box_id + params.boxes + i - params.interactions / 2) % params.boxes
+        };
+        (neighbor, rng.gen_range(0..params.lines_per_box))
+    }
 }
 
-impl StepGenerator for FmmGen {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
-        match self.state {
-            // Sequential setup: processor 0 initialises every box, so every
-            // box page is first-touch homed on node 0.
-            FmmState::Setup { from } => {
-                let to = (from + SETUP_CHUNK).min(self.params.boxes);
-                for box_id in from..to {
-                    for line in 0..self.params.lines_per_box {
-                        let addr = self.line_of(box_id, line);
-                        self.w.write(sink, ProcId(0), addr);
+impl Phased for FmmGen {
+    type Phase = FmmPhase;
+
+    fn next_phase(&self, phase: FmmPhase) -> Option<FmmPhase> {
+        let step = match phase {
+            FmmPhase::Setup => 0,
+            FmmPhase::Compute { step } => step + 1,
+        };
+        (step < self.params.timesteps).then_some(FmmPhase::Compute { step })
+    }
+
+    fn slice_len(&self, phase: FmmPhase, p: usize) -> usize {
+        match phase {
+            FmmPhase::Setup if p == 0 => self.params.boxes as usize,
+            FmmPhase::Setup => 0,
+            FmmPhase::Compute { .. } => Self::owned(&self.params, self.topology, p).len(),
+        }
+    }
+
+    fn enter(&mut self, phase: FmmPhase) {
+        if let FmmPhase::Compute { .. } = phase {
+            let (params, topology) = (&self.params, self.topology);
+            self.rngs.enter(topology.total_procs(), |p, rng| {
+                let owned = Self::owned(params, topology, p);
+                for box_id in owned.clone() {
+                    for i in 0..params.interactions {
+                        Self::interaction(params, rng, &owned, box_id as u64, i);
                     }
                 }
-                if to < self.params.boxes {
-                    self.state = FmmState::Setup { from: to };
-                } else {
-                    self.w.barrier_all(sink);
-                    self.state = FmmState::Compute { step: 0, p: 0 };
+            });
+        }
+    }
+
+    fn emit_item(
+        &mut self,
+        phase: FmmPhase,
+        p: usize,
+        item: usize,
+        w: &mut StepWriter,
+        sink: &mut dyn EventSink,
+    ) {
+        match phase {
+            // Sequential setup: processor 0 initialises every box, so every
+            // box page is first-touch homed on node 0.
+            FmmPhase::Setup => {
+                for line in 0..self.params.lines_per_box {
+                    w.write(sink, ProcId(0), self.line_of(item as u64, line));
                 }
             }
             // Upward + interaction + downward passes, collapsed into one
             // phase per box: read the interaction list (spatial neighbours,
             // i.e. mostly boxes of the same owner), update own expansions.
-            FmmState::Compute { step, p } => {
-                let params_boxes = self.params.boxes;
-                let interactions = self.params.interactions;
-                let lines_per_box = self.params.lines_per_box;
+            FmmPhase::Compute { .. } => {
                 let proc = ProcId(p as u16);
-                let owned = owned_range(params_boxes as usize, self.topology, proc);
-                let owned_len = owned.len() as u64;
-                for box_id in owned.clone() {
-                    let box_id = box_id as u64;
-                    for i in 0..interactions {
-                        // 80% of the interaction list stays within the
-                        // processor's own spatial region, the rest spills to
-                        // the neighbouring region.
-                        let neighbor = if self.rng.gen_range(0..10) < 8 || owned_len == 0 {
-                            owned.start as u64 + self.rng.gen_range(0..owned_len.max(1))
-                        } else {
-                            (box_id + params_boxes + i - interactions / 2) % params_boxes
-                        };
-                        let line = self.rng.gen_range(0..lines_per_box);
-                        let addr = self.line_of(neighbor, line);
-                        self.w.read(sink, proc, addr);
-                    }
-                    for line in 0..lines_per_box / 2 {
-                        let addr = self.line_of(box_id, line);
-                        self.w.read(sink, proc, addr);
-                        self.w.write(sink, proc, addr);
-                    }
+                let owned = Self::owned(&self.params, self.topology, p);
+                let box_id = (owned.start + item) as u64;
+                for i in 0..self.params.interactions {
+                    let rng = self.rngs.of(p);
+                    let (neighbor, line) = Self::interaction(&self.params, rng, &owned, box_id, i);
+                    w.read(sink, proc, self.line_of(neighbor, line));
                 }
-                let timesteps = self.params.timesteps;
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| FmmState::Compute { step, p },
-                    || {
-                        if step + 1 < timesteps {
-                            FmmState::Compute {
-                                step: step + 1,
-                                p: 0,
-                            }
-                        } else {
-                            FmmState::Finish
-                        }
-                    },
-                );
-            }
-            FmmState::Finish => {
-                self.w.finish(sink);
-                return false;
+                for line in 0..self.params.lines_per_box / 2 {
+                    let addr = self.line_of(box_id, line);
+                    w.read(sink, proc, addr);
+                    w.write(sink, proc, addr);
+                }
             }
         }
-        true
     }
 }
 
@@ -200,7 +212,8 @@ impl Workload for Fmm {
     }
 
     fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
-        Box::new(FmmGen::new(cfg))
+        let w = StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles);
+        Box::new(PhaseSteps::new(FmmGen::new(cfg), w, FmmPhase::Setup))
     }
 }
 

@@ -24,11 +24,14 @@
 //! ratios against perfect CC-NUMA on the same trace, the non-paper scales
 //! preserve the comparisons; EXPERIMENTS.md reports both.
 //!
-//! Every generator is a **resumable step-function**
-//! ([`Workload::stepper`]): each step emits one processor's slice of one
-//! phase.  Both trace deliveries drive the same stepper — materialized
+//! Every generator is a **resumable, demand-driven step-function**
+//! ([`Workload::stepper`]): each step emits the next
+//! [`STEP_CHUNK_EVENTS`]-event chunk of the processor the consumer is
+//! pulling, so a fused run parks about one chunk per processor.  Both
+//! trace deliveries drive the same stepper — materialized
 //! ([`Workload::generate`]) and fused into the consumer's pull loop
-//! ([`fused`]) — so they are bit-identical by construction.
+//! ([`fused`]) — and every processor's stream is the same whatever order
+//! the steps are asked for in, so they are bit-identical by construction.
 
 pub mod barnes;
 pub mod cholesky;
@@ -41,6 +44,7 @@ pub mod raytrace;
 mod util;
 
 pub use config::{CustomScale, Scale, WorkloadConfig};
+pub use util::STEP_CHUNK_EVENTS;
 
 use mem_trace::{EventSink, FusedSource, ProcId, ProgramTrace, StepGenerator, TraceEvent};
 
@@ -51,7 +55,7 @@ use mem_trace::{EventSink, FusedSource, ProcId, ProgramTrace, StepGenerator, Tra
 /// trace, event by event in program order, into any [`EventSink`].
 /// [`Workload::emit`] is required (for the Table 2 generators it is one
 /// line: [`run_stepper`] over their stepper); the default `stepper` falls
-/// back to materializing `emit`'s output and replaying it in fair chunks,
+/// back to materializing `emit`'s output and replaying it in chunks,
 /// so a straight-line custom workload only implements `emit` and still
 /// works through every pipeline.  All deliveries of a trace drive the same
 /// emission code, so they are bit-identical by construction.
@@ -70,7 +74,7 @@ pub trait Workload: Send + Sync {
     /// Build the resumable generator for `cfg`.
     ///
     /// The default materializes [`Workload::emit`] up front and replays it
-    /// in fair round-robin chunks — correct for any workload, but the
+    /// in chunks, wanted processor first — correct for any workload, but the
     /// bounded-memory property of the fused pipeline then only
     /// holds for traces that fit in memory anyway.  The seven Table 2
     /// generators all implement this directly (and derive `emit` from it
@@ -91,21 +95,18 @@ pub trait Workload: Send + Sync {
 /// Drive a step generator to completion against `sink` — how the Table 2
 /// generators implement [`Workload::emit`] in terms of their stepper.
 pub fn run_stepper(mut stepper: Box<dyn StepGenerator>, sink: &mut dyn EventSink) {
-    while stepper.step(sink) {}
+    while stepper.step(ProcId(0), sink) {}
 }
 
 /// The fallback stepper behind the default [`Workload::stepper`]: replays
-/// pre-materialized per-processor streams in fair round-robin chunks, with
-/// end-of-stream markers as each stream drains.
+/// pre-materialized per-processor streams in [`STEP_CHUNK_EVENTS`] chunks,
+/// serving the wanted processor first (round-robin once its stream has
+/// drained), with end-of-stream markers as each stream drains.
 struct ReplaySteps {
     per_proc: Vec<Vec<TraceEvent>>,
     pos: Vec<usize>,
     next: usize,
 }
-
-/// Events per processor per [`ReplaySteps`] step: small enough that the
-/// demux window stays a rounding error, big enough to amortize dispatch.
-const REPLAY_CHUNK: usize = 256;
 
 impl ReplaySteps {
     fn new(per_proc: Vec<Vec<TraceEvent>>) -> Self {
@@ -116,29 +117,37 @@ impl ReplaySteps {
             next: 0,
         }
     }
+
+    fn has_more(&self, p: usize) -> bool {
+        self.pos[p] < self.per_proc[p].len()
+    }
 }
 
 impl StepGenerator for ReplaySteps {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
+    fn step(&mut self, want: ProcId, sink: &mut dyn EventSink) -> bool {
         let procs = self.per_proc.len();
-        for _ in 0..procs {
-            let p = self.next;
-            self.next = (self.next + 1) % procs;
-            let events = &self.per_proc[p];
-            if self.pos[p] >= events.len() {
-                continue;
-            }
-            let end = (self.pos[p] + REPLAY_CHUNK).min(events.len());
-            for ev in &events[self.pos[p]..end] {
-                sink.event(ProcId(p as u16), *ev);
-            }
-            self.pos[p] = end;
-            if end == events.len() {
-                sink.end_of_stream(ProcId(p as u16));
-            }
-            return true;
+        let p = if self.has_more(want.index()) {
+            want.index()
+        } else {
+            let Some(p) = (0..procs)
+                .map(|i| (self.next + i) % procs)
+                .find(|&p| self.has_more(p))
+            else {
+                return false;
+            };
+            self.next = (p + 1) % procs;
+            p
+        };
+        let events = &self.per_proc[p];
+        let end = (self.pos[p] + STEP_CHUNK_EVENTS).min(events.len());
+        for ev in &events[self.pos[p]..end] {
+            sink.event(ProcId(p as u16), *ev);
         }
-        false
+        self.pos[p] = end;
+        if end == events.len() {
+            sink.end_of_stream(ProcId(p as u16));
+        }
+        true
     }
 }
 
@@ -268,6 +277,45 @@ mod tests {
             );
             assert!(src.take_error().is_none());
         }
+    }
+
+    #[test]
+    fn streams_do_not_depend_on_the_pull_order() {
+        // Bursts of varying size from a scrambled processor order: every
+        // generator's per-phase RNG snapshots must hand each processor the
+        // draws it gets in processor order.
+        let cfg = WorkloadConfig::reduced_for_tests();
+        let procs = cfg.topology.total_procs();
+        for w in catalog() {
+            let trace = w.generate(&cfg);
+            let mut src = fused(w.as_ref(), &cfg);
+            let mut got: Vec<Vec<TraceEvent>> = vec![Vec::new(); procs];
+            let mut ended = vec![false; procs];
+            let mut turn = 0usize;
+            while ended.contains(&false) {
+                let p = (turn * 7 + turn / procs) % procs;
+                ended[p] = src.next_burst(ProcId(p as u16), &mut got[p], 1 + turn % 300) == 0;
+                turn += 1;
+            }
+            assert_eq!(
+                got,
+                trace.per_proc,
+                "{} depends on the pull order",
+                w.name()
+            );
+            assert!(src.take_error().is_none());
+        }
+    }
+
+    #[test]
+    fn a_processor_with_an_empty_slice_gets_its_barrier_on_demand() {
+        // raytrace's scene phase is processor 0's alone: any other
+        // processor's first pull yields its barrier without building the
+        // scene.
+        let cfg = WorkloadConfig::reduced_for_tests();
+        let mut src = fused(&raytrace::Raytrace, &cfg);
+        assert_eq!(src.next_event(ProcId(5)), Some(TraceEvent::Barrier(0)));
+        assert_eq!(src.peak_buffered_events(), 1);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! Blocks are assigned to processors in a 2-D scatter, as in SPLASH-2.
 
 use crate::config::{Scale, WorkloadConfig};
+use crate::util::{PhaseSteps, Phased};
 use crate::Workload;
 use mem_trace::{AddressSpace, EventSink, ProcId, Segment, StepGenerator, StepWriter, BLOCK_SIZE};
 
@@ -55,12 +56,21 @@ impl LuParams {
     }
 }
 
-enum LuState {
-    Init { bi: u64 },
+/// LU's phases.  Each phase is a sequence of block operations (see
+/// [`LuGen::target`]); a processor's slice is the operations on blocks it
+/// owns, in sequence order.
+#[derive(Clone, Copy)]
+enum LuPhase {
+    /// Every owner touches (writes) its own blocks so the first-touch
+    /// policy places pages at their owners.
+    Init,
+    /// Factor the diagonal block.
     Diag { k: u64 },
-    Perim { k: u64, i: u64 },
-    Interior { k: u64, i: u64 },
-    Finish,
+    /// Perimeter blocks read the diagonal block and update themselves.
+    Perim { k: u64 },
+    /// Interior blocks read the two perimeter blocks — the read-shared
+    /// phase — and update themselves.
+    Interior { k: u64 },
 }
 
 struct LuGen {
@@ -68,8 +78,9 @@ struct LuGen {
     nb: u64,
     total_procs: u64,
     matrix: Segment,
-    w: StepWriter,
-    state: LuState,
+    /// Per processor: the next operation of the current phase to scan for
+    /// one on a block it owns.
+    next_op: Vec<u64>,
 }
 
 impl LuGen {
@@ -83,118 +94,113 @@ impl LuGen {
             nb,
             total_procs: cfg.topology.total_procs() as u64,
             matrix,
-            w: StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles),
-            state: LuState::Init { bi: 0 },
+            next_op: vec![0; cfg.topology.total_procs()],
         }
     }
 
     /// 2-D scatter assignment of blocks to processors (SPLASH-2 LU).
-    fn owner(&self, bi: u64, bj: u64) -> ProcId {
-        ProcId(((bi * self.nb + bj) % self.total_procs) as u16)
+    fn owner(&self, (bi, bj): (u64, u64)) -> usize {
+        ((bi * self.nb + bj) % self.total_procs) as usize
+    }
+
+    /// Operations in `phase`.
+    fn ops(&self, phase: LuPhase) -> u64 {
+        let rest = |k: u64| self.nb - k - 1;
+        match phase {
+            LuPhase::Init => self.nb * self.nb,
+            LuPhase::Diag { .. } => 1,
+            LuPhase::Perim { k } => 2 * rest(k),
+            LuPhase::Interior { k } => rest(k) * rest(k),
+        }
+    }
+
+    /// The block operation `o` of `phase` read-modify-writes; its owner
+    /// performs the operation.
+    fn target(&self, phase: LuPhase, o: u64) -> (u64, u64) {
+        match phase {
+            LuPhase::Init => (o / self.nb, o % self.nb),
+            LuPhase::Diag { k } => (k, k),
+            // Block column and block row `k`, interleaved: (i, k), (k, i).
+            LuPhase::Perim { k } => {
+                let i = k + 1 + o / 2;
+                if o.is_multiple_of(2) {
+                    (i, k)
+                } else {
+                    (k, i)
+                }
+            }
+            LuPhase::Interior { k } => {
+                let rest = self.nb - k - 1;
+                (k + 1 + o / rest, k + 1 + o % rest)
+            }
+        }
     }
 
     /// Visit the first address of every cache line of block `(bi, bj)` of
     /// the row-major `n x n` matrix.
-    fn for_each_line<F: FnMut(&mut StepWriter, mem_trace::GlobalAddr)>(
-        &mut self,
-        bi: u64,
-        bj: u64,
-        mut f: F,
-    ) {
+    fn for_each_line(&self, (bi, bj): (u64, u64), mut f: impl FnMut(mem_trace::GlobalAddr)) {
         let row0 = bi * self.params.block;
         let col0 = bj * self.params.block;
         for r in 0..self.params.block {
             let mut c = 0;
             while c < self.params.block {
-                let addr = self.matrix.elem2(row0 + r, col0 + c, self.params.n);
-                f(&mut self.w, addr);
+                f(self.matrix.elem2(row0 + r, col0 + c, self.params.n));
                 c += DOUBLES_PER_LINE;
             }
         }
     }
-
-    /// Read every cache line of block `(bi, bj)`.
-    fn read_block(&mut self, sink: &mut dyn EventSink, p: ProcId, bi: u64, bj: u64) {
-        self.for_each_line(bi, bj, |w, addr| w.read(sink, p, addr));
-    }
-
-    /// Read-modify-write every cache line of block `(bi, bj)`.
-    fn touch_block(&mut self, sink: &mut dyn EventSink, p: ProcId, bi: u64, bj: u64) {
-        self.for_each_line(bi, bj, |w, addr| {
-            w.read(sink, p, addr);
-            w.write(sink, p, addr);
-        });
-    }
 }
 
-impl StepGenerator for LuGen {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
-        let nb = self.nb;
-        match self.state {
-            // Initialization: every owner touches (writes) its own blocks
-            // so the first-touch policy places pages at their owners.
-            LuState::Init { bi } => {
-                for bj in 0..nb {
-                    let p = self.owner(bi, bj);
-                    self.touch_block(sink, p, bi, bj);
-                }
-                if bi + 1 < nb {
-                    self.state = LuState::Init { bi: bi + 1 };
-                } else {
-                    self.w.barrier_all(sink);
-                    self.state = LuState::Diag { k: 0 };
-                }
-            }
-            // Phase 1: factor the diagonal block.
-            LuState::Diag { k } => {
-                let p = self.owner(k, k);
-                self.touch_block(sink, p, k, k);
-                self.w.barrier_all(sink);
-                self.state = LuState::Perim { k, i: k + 1 };
-            }
-            // Phase 2: perimeter blocks read the diagonal block and update
-            // themselves.
-            LuState::Perim { k, i } => {
-                if i < nb {
-                    let p = self.owner(i, k);
-                    self.read_block(sink, p, k, k);
-                    self.touch_block(sink, p, i, k);
+impl Phased for LuGen {
+    type Phase = LuPhase;
 
-                    let q = self.owner(k, i);
-                    self.read_block(sink, q, k, k);
-                    self.touch_block(sink, q, k, i);
-                    self.state = LuState::Perim { k, i: i + 1 };
-                } else {
-                    self.w.barrier_all(sink);
-                    self.state = LuState::Interior { k, i: k + 1 };
-                }
-            }
-            // Phase 3: interior blocks read the two perimeter blocks — the
-            // read-shared phase — and update themselves.
-            LuState::Interior { k, i } => {
-                if i < nb {
-                    for j in (k + 1)..nb {
-                        let p = self.owner(i, j);
-                        self.read_block(sink, p, i, k);
-                        self.read_block(sink, p, k, j);
-                        self.touch_block(sink, p, i, j);
-                    }
-                    self.state = LuState::Interior { k, i: i + 1 };
-                } else {
-                    self.w.barrier_all(sink);
-                    self.state = if k + 1 < nb {
-                        LuState::Diag { k: k + 1 }
-                    } else {
-                        LuState::Finish
-                    };
-                }
-            }
-            LuState::Finish => {
-                self.w.finish(sink);
-                return false;
+    fn next_phase(&self, phase: LuPhase) -> Option<LuPhase> {
+        match phase {
+            LuPhase::Init => Some(LuPhase::Diag { k: 0 }),
+            LuPhase::Diag { k } => Some(LuPhase::Perim { k }),
+            LuPhase::Perim { k } => Some(LuPhase::Interior { k }),
+            LuPhase::Interior { k } => (k + 1 < self.nb).then_some(LuPhase::Diag { k: k + 1 }),
+        }
+    }
+
+    fn slice_len(&self, phase: LuPhase, p: usize) -> usize {
+        (0..self.ops(phase))
+            .filter(|&o| self.owner(self.target(phase, o)) == p)
+            .count()
+    }
+
+    fn enter(&mut self, _phase: LuPhase) {
+        self.next_op.fill(0);
+    }
+
+    fn emit_item(
+        &mut self,
+        phase: LuPhase,
+        p: usize,
+        _item: usize,
+        w: &mut StepWriter,
+        sink: &mut dyn EventSink,
+    ) {
+        let mut o = self.next_op[p];
+        while self.owner(self.target(phase, o)) != p {
+            o += 1;
+        }
+        self.next_op[p] = o + 1;
+        let (bi, bj) = self.target(phase, o);
+        let proc = ProcId(p as u16);
+        let mut read = |block| self.for_each_line(block, |addr| w.read(sink, proc, addr));
+        match phase {
+            LuPhase::Init | LuPhase::Diag { .. } => {}
+            LuPhase::Perim { k } => read((k, k)),
+            LuPhase::Interior { k } => {
+                read((bi, k));
+                read((k, bj));
             }
         }
-        true
+        self.for_each_line((bi, bj), |addr| {
+            w.read(sink, proc, addr);
+            w.write(sink, proc, addr);
+        });
     }
 }
 
@@ -220,7 +226,8 @@ impl Workload for Lu {
     }
 
     fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
-        Box::new(LuGen::new(cfg))
+        let w = StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles);
+        Box::new(PhaseSteps::new(LuGen::new(cfg), w, LuPhase::Init))
     }
 }
 

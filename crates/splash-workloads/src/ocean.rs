@@ -12,7 +12,7 @@
 //! absorb the capacity misses on each node's own (large) band.
 
 use crate::config::{Scale, WorkloadConfig};
-use crate::util::{advance_proc_phase, owned_range};
+use crate::util::{owned_range, PhaseSteps, Phased};
 use crate::Workload;
 use mem_trace::{AddressSpace, EventSink, ProcId, Segment, StepGenerator, StepWriter, Topology};
 
@@ -45,20 +45,18 @@ impl OceanParams {
     }
 }
 
-enum OceanState {
-    Init { p: usize },
-    Sweep { sweep: u64, p: usize },
-    Finish,
+/// Ocean's phases; every item is one grid row of the processor's band.
+#[derive(Clone, Copy)]
+enum OceanPhase {
+    Init,
+    Sweep { sweep: u64 },
 }
 
 struct OceanGen {
     params: OceanParams,
     topology: Topology,
-    procs: usize,
     grid: Segment,
     rhs: Segment,
-    w: StepWriter,
-    state: OceanState,
 }
 
 impl OceanGen {
@@ -74,89 +72,72 @@ impl OceanGen {
         OceanGen {
             params,
             topology: cfg.topology,
-            procs: cfg.topology.total_procs(),
             grid,
             rhs,
-            w: StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles),
-            state: OceanState::Init { p: 0 },
         }
+    }
+
+    fn band(&self, p: usize) -> std::ops::Range<usize> {
+        owned_range(self.params.n as usize, self.topology, ProcId(p as u16))
     }
 }
 
-impl StepGenerator for OceanGen {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
+impl Phased for OceanGen {
+    type Phase = OceanPhase;
+
+    fn next_phase(&self, phase: OceanPhase) -> Option<OceanPhase> {
+        let sweep = match phase {
+            OceanPhase::Init => 0,
+            OceanPhase::Sweep { sweep } => sweep + 1,
+        };
+        (sweep < self.params.sweeps).then_some(OceanPhase::Sweep { sweep })
+    }
+
+    fn slice_len(&self, _phase: OceanPhase, p: usize) -> usize {
+        self.band(p).len()
+    }
+
+    fn emit_item(
+        &mut self,
+        phase: OceanPhase,
+        p: usize,
+        item: usize,
+        w: &mut StepWriter,
+        sink: &mut dyn EventSink,
+    ) {
         let n = self.params.n;
-        match self.state {
+        let proc = ProcId(p as u16);
+        let row = (self.band(p).start + item) as u64;
+        match phase {
             // Initialization: every processor writes its own band of both
             // grids so first-touch places the pages on the owner's node.
-            OceanState::Init { p } => {
-                let proc = ProcId(p as u16);
-                let band = owned_range(n as usize, self.topology, proc);
-                for row in band {
-                    let mut col = 0u64;
-                    while col < n {
-                        self.w
-                            .write(sink, proc, self.grid.elem2(row as u64, col, n));
-                        self.w.write(sink, proc, self.rhs.elem2(row as u64, col, n));
-                        col += 8; // one cache line of doubles
-                    }
+            OceanPhase::Init => {
+                let mut col = 0u64;
+                while col < n {
+                    w.write(sink, proc, self.grid.elem2(row, col, n));
+                    w.write(sink, proc, self.rhs.elem2(row, col, n));
+                    col += 8; // one cache line of doubles
                 }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| OceanState::Init { p },
-                    || OceanState::Sweep { sweep: 0, p: 0 },
-                );
             }
-            OceanState::Sweep { sweep, p } => {
-                let proc = ProcId(p as u16);
-                let band = owned_range(n as usize, self.topology, proc);
-                for row in band {
-                    let row = row as u64;
-                    if row == 0 || row == n - 1 {
-                        continue; // fixed boundary
-                    }
-                    let mut col = 8u64;
-                    while col < n - 1 {
-                        // Five-point stencil at line granularity: the north
-                        // and south neighbours live in adjacent rows (the
-                        // first/last rows of a band are remote), east/west
-                        // are in the same cache line.
-                        self.w.read(sink, proc, self.grid.elem2(row - 1, col, n));
-                        self.w.read(sink, proc, self.grid.elem2(row + 1, col, n));
-                        self.w.read(sink, proc, self.grid.elem2(row, col, n));
-                        self.w.read(sink, proc, self.rhs.elem2(row, col, n));
-                        self.w.write(sink, proc, self.grid.elem2(row, col, n));
-                        col += 8;
-                    }
+            OceanPhase::Sweep { .. } => {
+                if row == 0 || row == n - 1 {
+                    return; // fixed boundary
                 }
-                let sweeps = self.params.sweeps;
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| OceanState::Sweep { sweep, p },
-                    || {
-                        if sweep + 1 < sweeps {
-                            OceanState::Sweep {
-                                sweep: sweep + 1,
-                                p: 0,
-                            }
-                        } else {
-                            OceanState::Finish
-                        }
-                    },
-                );
-            }
-            OceanState::Finish => {
-                self.w.finish(sink);
-                return false;
+                let mut col = 8u64;
+                while col < n - 1 {
+                    // Five-point stencil at line granularity: the north and
+                    // south neighbours live in adjacent rows (the first/last
+                    // rows of a band are remote), east/west are in the same
+                    // cache line.
+                    w.read(sink, proc, self.grid.elem2(row - 1, col, n));
+                    w.read(sink, proc, self.grid.elem2(row + 1, col, n));
+                    w.read(sink, proc, self.grid.elem2(row, col, n));
+                    w.read(sink, proc, self.rhs.elem2(row, col, n));
+                    w.write(sink, proc, self.grid.elem2(row, col, n));
+                    col += 8;
+                }
             }
         }
-        true
     }
 }
 
@@ -182,7 +163,8 @@ impl Workload for Ocean {
     }
 
     fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
-        Box::new(OceanGen::new(cfg))
+        let w = StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles);
+        Box::new(PhaseSteps::new(OceanGen::new(cfg), w, OceanPhase::Init))
     }
 }
 

@@ -13,7 +13,7 @@
 //! destination keys exceeds it.
 
 use crate::config::{Scale, WorkloadConfig};
-use crate::util::{advance_proc_phase, owned_range};
+use crate::util::{owned_range, skip_draws, PhaseSteps, Phased, ProcRngs};
 use crate::Workload;
 use mem_trace::{AddressSpace, EventSink, ProcId, Segment, StepGenerator, StepWriter, Topology};
 use rand::rngs::SmallRng;
@@ -58,28 +58,24 @@ impl RadixParams {
 /// Keys per cache line (4-byte integers).
 const KEYS_PER_LINE: u64 = 16;
 
-/// Where the resumable generator is in the radix phase structure.  Each
-/// step emits one processor's slice of one phase; the step that completes a
-/// phase also emits its barrier, so the global emission order is exactly
-/// the straight-line generator's.
-enum RadixState {
-    Init { p: usize },
-    Hist { pass: u64, p: usize },
-    Rank { pass: u64, p: usize },
-    Perm { pass: u64, p: usize },
-    Finish,
+/// The radix phase structure.  Items are cache lines of the processor's
+/// own key chunk, except in `Rank`, where item `other` reads processor
+/// `other`'s histogram.
+#[derive(Clone, Copy)]
+enum RadixPhase {
+    Init,
+    Hist { pass: u64 },
+    Rank { pass: u64 },
+    Perm { pass: u64 },
 }
 
 struct RadixGen {
     params: RadixParams,
     topology: Topology,
-    procs: usize,
     src: Segment,
     dst: Segment,
     histograms: Segment,
-    w: StepWriter,
-    rng: SmallRng,
-    state: RadixState,
+    rngs: ProcRngs,
 }
 
 impl RadixGen {
@@ -95,126 +91,108 @@ impl RadixGen {
         RadixGen {
             params,
             topology: cfg.topology,
-            procs,
             src,
             dst,
             histograms,
-            w: StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles),
-            rng: SmallRng::seed_from_u64(cfg.seed ^ 0x5ad1),
-            state: RadixState::Init { p: 0 },
+            rngs: ProcRngs::new(SmallRng::seed_from_u64(cfg.seed ^ 0x5ad1)),
         }
+    }
+
+    /// Cache lines of keys `p` owns: its items in the keyed phases.
+    fn lines(keys: u64, topology: Topology, p: usize) -> usize {
+        owned_range(keys as usize, topology, ProcId(p as u16))
+            .len()
+            .div_ceil(KEYS_PER_LINE as usize)
+    }
+
+    /// The first key of item `item` of `p`'s chunk.
+    fn key(&self, p: usize, item: usize) -> u64 {
+        let range = owned_range(self.params.keys as usize, self.topology, ProcId(p as u16));
+        range.start as u64 + item as u64 * KEYS_PER_LINE
     }
 }
 
-impl StepGenerator for RadixGen {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
+impl Phased for RadixGen {
+    type Phase = RadixPhase;
+
+    fn next_phase(&self, phase: RadixPhase) -> Option<RadixPhase> {
+        Some(match phase {
+            RadixPhase::Init => RadixPhase::Hist { pass: 0 },
+            RadixPhase::Hist { pass } => RadixPhase::Rank { pass },
+            RadixPhase::Rank { pass } => RadixPhase::Perm { pass },
+            RadixPhase::Perm { pass } if pass + 1 < self.params.passes => {
+                RadixPhase::Hist { pass: pass + 1 }
+            }
+            RadixPhase::Perm { .. } => return None,
+        })
+    }
+
+    fn slice_len(&self, phase: RadixPhase, p: usize) -> usize {
+        match phase {
+            RadixPhase::Rank { .. } => self.topology.total_procs(),
+            _ => Self::lines(self.params.keys, self.topology, p),
+        }
+    }
+
+    fn enter(&mut self, phase: RadixPhase) {
+        // Draws per cache line: one histogram bin, or four destinations.
+        let per_line = match phase {
+            RadixPhase::Hist { .. } => 1,
+            RadixPhase::Perm { .. } => 4,
+            RadixPhase::Init | RadixPhase::Rank { .. } => return,
+        };
+        let (keys, topology) = (self.params.keys, self.topology);
+        self.rngs.enter(topology.total_procs(), |p, rng| {
+            skip_draws(rng, Self::lines(keys, topology, p) as u64 * per_line);
+        });
+    }
+
+    fn emit_item(
+        &mut self,
+        phase: RadixPhase,
+        p: usize,
+        item: usize,
+        w: &mut StepWriter,
+        sink: &mut dyn EventSink,
+    ) {
         let params = &self.params;
-        match self.state {
+        let proc = ProcId(p as u16);
+        match phase {
             // Initialization: each processor writes its own chunk of the
             // source array (first-touch places it locally).
-            RadixState::Init { p } => {
-                let proc = ProcId(p as u16);
-                let range = owned_range(params.keys as usize, self.topology, proc);
-                let mut k = range.start as u64;
-                while k < range.end as u64 {
-                    self.w.write(sink, proc, self.src.elem(k));
-                    k += KEYS_PER_LINE;
-                }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| RadixState::Init { p },
-                    || RadixState::Hist { pass: 0, p: 0 },
-                );
-            }
+            RadixPhase::Init => w.write(sink, proc, self.src.elem(self.key(p, item))),
             // Phase 1: local histogram — stream through the owned chunk of
             // the (current) source array and update the processor's own
             // histogram bins.
-            RadixState::Hist { pass, p } => {
-                let proc = ProcId(p as u16);
-                let range = owned_range(params.keys as usize, self.topology, proc);
+            RadixPhase::Hist { .. } => {
+                w.read(sink, proc, self.src.elem(self.key(p, item)));
+                let bin = self.rngs.of(p).gen_range(0..params.radix);
                 let hist_base = params.radix * p as u64;
-                let mut k = range.start as u64;
-                while k < range.end as u64 {
-                    self.w.read(sink, proc, self.src.elem(k));
-                    let bin = self.rng.gen_range(0..params.radix);
-                    self.w
-                        .write(sink, proc, self.histograms.elem(hist_base + bin));
-                    k += KEYS_PER_LINE;
-                }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| RadixState::Hist { pass, p },
-                    || RadixState::Rank { pass, p: 0 },
-                );
+                w.write(sink, proc, self.histograms.elem(hist_base + bin));
             }
             // Phase 2: global rank computation — every processor reads every
             // other processor's histogram (small, read-shared).
-            RadixState::Rank { pass, p } => {
-                let proc = ProcId(p as u16);
-                for other in 0..self.procs {
-                    let base = params.radix * other as u64;
-                    let mut bin = 0u64;
-                    while bin < params.radix {
-                        self.w.read(sink, proc, self.histograms.elem(base + bin));
-                        bin += KEYS_PER_LINE;
-                    }
+            RadixPhase::Rank { .. } => {
+                let base = params.radix * item as u64;
+                let mut bin = 0u64;
+                while bin < params.radix {
+                    w.read(sink, proc, self.histograms.elem(base + bin));
+                    bin += KEYS_PER_LINE;
                 }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| RadixState::Rank { pass, p },
-                    || RadixState::Perm { pass, p: 0 },
-                );
             }
             // Phase 3: permutation — read own keys, write them to scattered
             // positions of the destination array (all-to-all traffic).
-            RadixState::Perm { pass, p } => {
-                let proc = ProcId(p as u16);
-                let range = owned_range(params.keys as usize, self.topology, proc);
-                let mut k = range.start as u64;
-                while k < range.end as u64 {
-                    self.w.read(sink, proc, self.src.elem(k));
-                    // One permuted write per key in this line; destinations
-                    // are uniformly scattered, as radix-sort ranks are.
-                    for _ in 0..4 {
-                        let dest = self.rng.gen_range(0..params.keys);
-                        self.w.write(sink, proc, self.dst.elem(dest));
-                    }
-                    k += KEYS_PER_LINE;
+            RadixPhase::Perm { .. } => {
+                w.read(sink, proc, self.src.elem(self.key(p, item)));
+                // One permuted write per key in this line; destinations
+                // are uniformly scattered, as radix-sort ranks are.
+                let rng = self.rngs.of(p);
+                for _ in 0..4 {
+                    let dest = rng.gen_range(0..params.keys);
+                    w.write(sink, proc, self.dst.elem(dest));
                 }
-                let passes = params.passes;
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| RadixState::Perm { pass, p },
-                    || {
-                        if pass + 1 < passes {
-                            RadixState::Hist {
-                                pass: pass + 1,
-                                p: 0,
-                            }
-                        } else {
-                            RadixState::Finish
-                        }
-                    },
-                );
-            }
-            RadixState::Finish => {
-                self.w.finish(sink);
-                return false;
             }
         }
-        true
     }
 }
 
@@ -240,7 +218,8 @@ impl Workload for Radix {
     }
 
     fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
-        Box::new(RadixGen::new(cfg))
+        let w = StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles);
+        Box::new(PhaseSteps::new(RadixGen::new(cfg), w, RadixPhase::Init))
     }
 }
 

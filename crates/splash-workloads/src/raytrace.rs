@@ -12,7 +12,7 @@
 //! path because rays are independent and plentiful.
 
 use crate::config::{Scale, WorkloadConfig};
-use crate::util::{advance_proc_phase, owned_range};
+use crate::util::{owned_range, skip_draws, PhaseSteps, Phased, ProcRngs};
 use crate::Workload;
 use mem_trace::{AddressSpace, EventSink, ProcId, Segment, StepGenerator, StepWriter, Topology};
 use rand::rngs::SmallRng;
@@ -64,25 +64,21 @@ impl RaytraceParams {
     }
 }
 
-/// Scene lines built per setup step (bounds each step's emission).
-const SCENE_CHUNK: u64 = 4096;
-
-enum RaytraceState {
-    Scene { from: u64 },
-    Trace { p: usize },
-    Finish,
+#[derive(Clone, Copy)]
+enum RaytracePhase {
+    /// Processor 0 builds the scene database (one item per scene line).
+    Scene,
+    /// Every processor traces its share of the rays (one item per ray).
+    Trace,
 }
 
 struct RaytraceGen {
     params: RaytraceParams,
     topology: Topology,
-    procs: usize,
     scene: Segment,
     framebuffer: Segment,
     queue: Segment,
-    w: StepWriter,
-    rng: SmallRng,
-    state: RaytraceState,
+    rngs: ProcRngs,
 }
 
 impl RaytraceGen {
@@ -95,80 +91,87 @@ impl RaytraceGen {
         RaytraceGen {
             params,
             topology: cfg.topology,
-            procs: cfg.topology.total_procs(),
             scene,
             framebuffer,
             queue,
-            w: StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles),
-            rng: SmallRng::seed_from_u64(cfg.seed ^ 0x4a11),
-            state: RaytraceState::Scene { from: 0 },
+            rngs: ProcRngs::new(SmallRng::seed_from_u64(cfg.seed ^ 0x4a11)),
         }
+    }
+
+    fn rays(&self, p: usize) -> std::ops::Range<usize> {
+        owned_range(self.params.rays as usize, self.topology, ProcId(p as u16))
     }
 }
 
-impl StepGenerator for RaytraceGen {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
-        match self.state {
+impl Phased for RaytraceGen {
+    type Phase = RaytracePhase;
+
+    fn next_phase(&self, phase: RaytracePhase) -> Option<RaytracePhase> {
+        match phase {
+            RaytracePhase::Scene => Some(RaytracePhase::Trace),
+            RaytracePhase::Trace => None,
+        }
+    }
+
+    fn slice_len(&self, phase: RaytracePhase, p: usize) -> usize {
+        match phase {
+            RaytracePhase::Scene if p == 0 => self.params.scene_lines as usize,
+            RaytracePhase::Scene => 0,
+            RaytracePhase::Trace => self.rays(p).len(),
+        }
+    }
+
+    fn enter(&mut self, phase: RaytracePhase) {
+        if let RaytracePhase::Trace = phase {
+            let reads = self.params.reads_per_ray;
+            let (rays, topology) = (self.params.rays as usize, self.topology);
+            self.rngs.enter(topology.total_procs(), |p, rng| {
+                let mine = owned_range(rays, topology, ProcId(p as u16)).len() as u64;
+                skip_draws(rng, mine * reads);
+            });
+        }
+    }
+
+    fn emit_item(
+        &mut self,
+        phase: RaytracePhase,
+        p: usize,
+        item: usize,
+        w: &mut StepWriter,
+        sink: &mut dyn EventSink,
+    ) {
+        match phase {
             // Processor 0 builds the scene database; its pages are homed on
             // node 0 and never written again.
-            RaytraceState::Scene { from } => {
-                let to = (from + SCENE_CHUNK).min(self.params.scene_lines);
-                for line in from..to {
-                    let addr = self.scene.elem(line);
-                    self.w.write(sink, ProcId(0), addr);
-                }
-                if to < self.params.scene_lines {
-                    self.state = RaytraceState::Scene { from: to };
-                } else {
-                    self.w.barrier_all(sink);
-                    self.state = RaytraceState::Trace { p: 0 };
-                }
-            }
+            RaytracePhase::Scene => w.write(sink, ProcId(0), self.scene.elem(item as u64)),
             // Each processor traces an equal share of rays, dequeuing
             // bundles of rays from the shared work queue.
-            RaytraceState::Trace { p } => {
+            RaytracePhase::Trace => {
                 let rays_per_bundle = 32u64;
                 let proc = ProcId(p as u16);
-                let range = owned_range(self.params.rays as usize, self.topology, proc);
-                for (count, ray) in range.enumerate() {
-                    if (count as u64).is_multiple_of(rays_per_bundle) {
-                        self.w.lock(sink, proc, 0);
-                        let q0 = self.queue.elem(0);
-                        self.w.read(sink, proc, q0);
-                        self.w.write(sink, proc, q0);
-                        self.w.unlock(sink, proc, 0);
-                    }
-                    // Walk the acceleration structure: the first few reads
-                    // hit the hot top levels, the rest sample the scene
-                    // irregularly.
-                    for step in 0..self.params.reads_per_ray {
-                        let line = if step < 6 {
-                            self.rng.gen_range(0..self.params.hot_lines)
-                        } else {
-                            self.rng.gen_range(0..self.params.scene_lines)
-                        };
-                        let addr = self.scene.elem(line);
-                        self.w.read(sink, proc, addr);
-                    }
-                    // Write the pixel (private to this processor's band).
-                    let pixel = self.framebuffer.elem(ray as u64);
-                    self.w.write(sink, proc, pixel);
+                let ray = self.rays(p).start + item;
+                if (item as u64).is_multiple_of(rays_per_bundle) {
+                    w.lock(sink, proc, 0);
+                    let q0 = self.queue.elem(0);
+                    w.read(sink, proc, q0);
+                    w.write(sink, proc, q0);
+                    w.unlock(sink, proc, 0);
                 }
-                self.state = advance_proc_phase(
-                    &mut self.w,
-                    sink,
-                    p,
-                    self.procs,
-                    |p| RaytraceState::Trace { p },
-                    || RaytraceState::Finish,
-                );
-            }
-            RaytraceState::Finish => {
-                self.w.finish(sink);
-                return false;
+                // Walk the acceleration structure: the first few reads hit
+                // the hot top levels, the rest sample the scene irregularly.
+                let rng = self.rngs.of(p);
+                for step in 0..self.params.reads_per_ray {
+                    let line = if step < 6 {
+                        rng.gen_range(0..self.params.hot_lines)
+                    } else {
+                        rng.gen_range(0..self.params.scene_lines)
+                    };
+                    w.read(sink, proc, self.scene.elem(line));
+                }
+                // Write the pixel (private to this processor's band).
+                w.write(sink, proc, self.framebuffer.elem(ray as u64));
             }
         }
-        true
     }
 }
 
@@ -194,7 +197,12 @@ impl Workload for Raytrace {
     }
 
     fn stepper(&self, cfg: &WorkloadConfig) -> Box<dyn StepGenerator> {
-        Box::new(RaytraceGen::new(cfg))
+        let w = StepWriter::new(cfg.topology).with_think_cycles(cfg.think_cycles);
+        Box::new(PhaseSteps::new(
+            RaytraceGen::new(cfg),
+            w,
+            RaytracePhase::Scene,
+        ))
     }
 }
 

@@ -1,26 +1,207 @@
 //! Shared helpers for the workload generators.
 
-use mem_trace::{EventSink, ProcId, StepWriter, Topology};
+use mem_trace::{EventSink, ProcId, StepGenerator, StepWriter, Topology};
+use rand::rngs::SmallRng;
+use rand::Rng;
 
-/// Advance a step generator past one processor's slice of a phase: either
-/// to the next processor of the same phase, or — emitting the phase
-/// barrier — to the next phase.  Every per-processor-phased generator
-/// (radix, ocean, barnes, fmm, raytrace) routes its state transitions
-/// through this one helper so the barrier-at-phase-end rule cannot diverge
-/// between them.
-pub(crate) fn advance_proc_phase<S>(
-    w: &mut StepWriter,
-    sink: &mut dyn EventSink,
-    p: usize,
-    procs: usize,
-    same_phase: impl FnOnce(usize) -> S,
-    next_phase: impl FnOnce() -> S,
-) -> S {
-    if p + 1 < procs {
-        same_phase(p + 1)
-    } else {
-        w.barrier_all(sink);
-        next_phase()
+/// Events a demand-driven step emits for the processor it serves before
+/// returning.  A step finishes the work item it is in, so it can overrun
+/// by up to one item.  Under the simulator's pull order the fused demux
+/// window stays near this many events per processor.
+pub const STEP_CHUNK_EVENTS: usize = 512;
+
+/// A phase-structured trace: phases separated by global barriers, in each
+/// of which every processor works through its own slice of work items.
+///
+/// Implementors only describe the trace; [`PhaseSteps`] turns the
+/// description into a demand-driven [`StepGenerator`].  Every processor's
+/// slice must be emittable in any interleaving with the others' — which
+/// for the generators sharing one RNG means [`Phased::enter`] snapshots
+/// where each slice's draws start.
+pub(crate) trait Phased: Send {
+    /// One value per phase.
+    type Phase: Copy + Send;
+
+    /// The phase after `phase`; `None` after the last.
+    fn next_phase(&self, phase: Self::Phase) -> Option<Self::Phase>;
+
+    /// Work items in processor `p`'s slice of `phase`.
+    fn slice_len(&self, phase: Self::Phase, p: usize) -> usize;
+
+    /// Get ready to emit `phase`'s slices in any processor order: snapshot
+    /// the RNG state each slice (or work item) starts from.  Called once
+    /// per phase, lazily, by the first step that emits one of the phase's
+    /// items — never by a step that only hands out barriers.
+    fn enter(&mut self, phase: Self::Phase) {
+        let _ = phase;
+    }
+
+    /// Emit item `item` of processor `p`'s slice of `phase`.
+    fn emit_item(
+        &mut self,
+        phase: Self::Phase,
+        p: usize,
+        item: usize,
+        w: &mut StepWriter,
+        sink: &mut dyn EventSink,
+    );
+}
+
+/// The demand-driven [`StepGenerator`] over a [`Phased`] trace.
+///
+/// Each step serves the wanted processor: the next [`STEP_CHUNK_EVENTS`]
+/// of its slice of the current phase, followed — as soon as the slice
+/// ends — by its barrier (its k-th barrier carries id k, so barriers need
+/// not go out together), and after the last phase's barrier by its
+/// end-of-stream marker.  A processor with an empty slice gets its barrier
+/// on its first pull.  A wanted processor already at the barrier of the
+/// current phase (only adversarial pull orders ask) gets nothing; the step
+/// fills the lowest processor still inside its slice instead, so such
+/// orders park what processor-order emission would.  The phase advances
+/// once every processor's barrier is out.
+pub(crate) struct PhaseSteps<G: Phased> {
+    gen: G,
+    w: StepWriter,
+    /// The phase in progress; `None` once every stream has ended.
+    phase: Option<G::Phase>,
+    /// Whether the current phase is the last.
+    last: bool,
+    /// Whether [`Phased::enter`] has run for the current phase.
+    entered: bool,
+    /// Per processor: the next item of its slice, and the slice's length.
+    next: Vec<usize>,
+    len: Vec<usize>,
+    /// Per processor: its barrier for the current phase is out.
+    done: Vec<bool>,
+    /// Processors still inside their slice of the current phase.
+    active: usize,
+    /// No processor below this index is still inside its slice.
+    first_active: usize,
+}
+
+impl<G: Phased> PhaseSteps<G> {
+    pub(crate) fn new(gen: G, w: StepWriter, first: G::Phase) -> Self {
+        let procs = w.topology().total_procs();
+        let mut steps = PhaseSteps {
+            gen,
+            w,
+            phase: None,
+            last: false,
+            entered: false,
+            next: vec![0; procs],
+            len: vec![0; procs],
+            done: vec![false; procs],
+            active: 0,
+            first_active: 0,
+        };
+        steps.start(Some(first));
+        steps
+    }
+
+    /// Move every processor to the start of `phase` (`None`: the end).
+    fn start(&mut self, phase: Option<G::Phase>) {
+        self.phase = phase;
+        self.entered = false;
+        let Some(phase) = phase else {
+            return;
+        };
+        self.last = self.gen.next_phase(phase).is_none();
+        for p in 0..self.len.len() {
+            self.len[p] = self.gen.slice_len(phase, p);
+        }
+        self.next.fill(0);
+        self.done.fill(false);
+        self.active = self.len.len();
+        self.first_active = 0;
+    }
+
+    /// Emit the next chunk of `p`'s slice of `phase`, and its barrier if
+    /// the slice ends.
+    fn fill(&mut self, phase: G::Phase, p: usize, sink: &mut dyn EventSink) {
+        // Processor ids fit u16 by Topology's construction.
+        let proc = ProcId(p as u16);
+        if !self.entered && self.next[p] < self.len[p] {
+            self.gen.enter(phase);
+            self.entered = true;
+        }
+        let stop = self.w.events_emitted(proc) + STEP_CHUNK_EVENTS;
+        while self.next[p] < self.len[p] {
+            self.gen
+                .emit_item(phase, p, self.next[p], &mut self.w, sink);
+            self.next[p] += 1;
+            if self.next[p] < self.len[p] && self.w.events_emitted(proc) >= stop {
+                return;
+            }
+        }
+        self.w.barrier(sink, proc);
+        if self.last {
+            sink.end_of_stream(proc);
+        }
+        self.done[p] = true;
+        self.active -= 1;
+    }
+}
+
+impl<G: Phased> StepGenerator for PhaseSteps<G> {
+    fn step(&mut self, want: ProcId, sink: &mut dyn EventSink) -> bool {
+        let Some(phase) = self.phase else {
+            return false;
+        };
+        let mut p = want.index();
+        if self.done[p] {
+            while self.done[self.first_active] {
+                self.first_active += 1;
+            }
+            p = self.first_active;
+        }
+        self.fill(phase, p, sink);
+        if self.active == 0 {
+            self.start(self.gen.next_phase(phase));
+        }
+        self.phase.is_some()
+    }
+}
+
+/// Per-processor RNG positions for a generator whose one shared RNG is
+/// consumed processor by processor within each phase: processor `p`'s
+/// draws start where processor `p - 1`'s end.
+pub(crate) struct ProcRngs {
+    /// The shared RNG, past every phase snapshotted so far.
+    shared: SmallRng,
+    /// Each processor's RNG, at its next draw in the current phase.
+    at: Vec<SmallRng>,
+}
+
+impl ProcRngs {
+    pub(crate) fn new(rng: SmallRng) -> Self {
+        ProcRngs {
+            shared: rng,
+            at: Vec::new(),
+        }
+    }
+
+    /// Snapshot a phase over `procs` processors: `skip(p, rng)` advances
+    /// `rng` past processor `p`'s draws in the phase (by count or by a
+    /// draws-only dry pass of its slice).
+    pub(crate) fn enter(&mut self, procs: usize, mut skip: impl FnMut(usize, &mut SmallRng)) {
+        self.at.clear();
+        for p in 0..procs {
+            self.at.push(self.shared.clone());
+            skip(p, &mut self.shared);
+        }
+    }
+
+    /// Processor `p`'s RNG in the current phase.
+    pub(crate) fn of(&mut self, p: usize) -> &mut SmallRng {
+        &mut self.at[p]
+    }
+}
+
+/// Advance `rng` by `n` draws (the shim's `gen_range` makes exactly one
+/// `next_u64` draw).
+pub(crate) fn skip_draws(rng: &mut SmallRng, n: u64) {
+    for _ in 0..n {
+        rng.next_u64();
     }
 }
 

@@ -78,25 +78,29 @@ fn main() {
     };
     let sim = ClusterSimulator::new(MachineConfig::PAPER, sys);
 
-    let (mode_name, result) = match mode {
+    // `peak_window` is the demux high-water mark: 0 for the materialized
+    // trace, which never parks events.
+    let (mode_name, result, peak_window) = match mode {
         Mode::Materialize => {
             let trace = wl.generate(&cfg);
-            ("materialized", sim.run(&trace))
+            ("materialized", sim.run(&trace), 0)
         }
         Mode::Fused => {
             let mut source = fused(wl.as_ref(), &cfg);
-            ("fused", sim.run_source(&mut source))
+            let result = sim.run_source(&mut source);
+            ("fused", result, source.peak_buffered_events())
         }
         Mode::Adversarial => unreachable!("handled above"),
     };
     println!(
-        "mode={} workload={} system={} accesses={} barriers={} execution_time={}",
+        "mode={} workload={} system={} accesses={} barriers={} execution_time={} peak_window={}",
         mode_name,
         result.workload,
         result.system,
         result.accesses,
         result.barriers,
-        result.execution_time.raw()
+        result.execution_time.raw(),
+        peak_window
     );
 }
 
@@ -113,7 +117,7 @@ struct QuietProc {
 }
 
 impl StepGenerator for QuietProc {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
+    fn step(&mut self, _want: ProcId, sink: &mut dyn EventSink) -> bool {
         let end = (self.next + 1024).min(QUIET_EVENTS);
         for i in self.next..end {
             self.writer
@@ -152,8 +156,10 @@ fn adversarial_quiet_processor_pull() {
         Some(TraceError::StreamWindowExceeded { buffered, cap }) => {
             assert!(got.is_none(), "poisoned source must not yield events");
             assert!(parked <= cap, "demux kept {parked} events past its cap");
+            let peak = source.peak_buffered_events();
             println!(
-                "mode=adversarial outcome=capped buffered={buffered} cap={cap} parked={parked}"
+                "mode=adversarial outcome=capped buffered={buffered} cap={cap} parked={parked} \
+                 peak_window={peak}"
             );
         }
         other => {

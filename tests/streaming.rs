@@ -7,6 +7,7 @@
 use dsm_repro::bench::{Experiment, SystemSet};
 use dsm_repro::prelude::*;
 use dsm_repro::trace::{EventSink, StepWriter};
+use dsm_repro::workloads::STEP_CHUNK_EVENTS;
 
 /// Satellite requirement: incremental `TraceStats` accumulated while a
 /// stream is drained must equal batch `ProgramTrace::stats()` for all seven
@@ -90,7 +91,7 @@ struct QuietProc {
 }
 
 impl StepGenerator for QuietProc {
-    fn step(&mut self, sink: &mut dyn EventSink) -> bool {
+    fn step(&mut self, _want: ProcId, sink: &mut dyn EventSink) -> bool {
         const EVENTS: u64 = 2_000_000;
         let end = (self.next + 1024).min(EVENTS);
         for i in self.next..end {
@@ -169,6 +170,35 @@ fn workload_streams_survive_adversarial_pull_orders_within_the_window() {
             w.name()
         );
         assert_eq!(src.buffered_events(), 0, "{}: events left behind", w.name());
+    }
+}
+
+/// Demand-driven supply: each step emits the pulled processor's next chunk
+/// of [`STEP_CHUNK_EVENTS`], so in the simulator's pull order every
+/// processor parks about one chunk.  Simulating every workload at reduced
+/// scale on the 8x4 paper machine through a fused source capped at two
+/// chunks per processor must neither trip the cap nor change a result.
+/// (Generators that emit whole per-processor phase slices in processor
+/// order park up to 1M events here: raytrace, cholesky, radix, barnes and
+/// fmm all overflow this cap.)
+#[test]
+fn simulator_order_window_stays_within_two_chunks_per_processor() {
+    let cfg = WorkloadConfig::reduced();
+    let bound = 2 * STEP_CHUNK_EVENTS * cfg.topology.total_procs();
+    let sim = ClusterSimulator::new(MachineConfig::PAPER, System::cc_numa().build());
+    for w in catalog() {
+        let materialized = sim.run(&w.generate(&cfg));
+        let mut src = fused(w.as_ref(), &cfg).with_window_cap(bound);
+        let streamed = sim
+            .try_run_source(&mut src)
+            .unwrap_or_else(|e| panic!("{}: window over {bound} events: {e:?}", w.name()));
+        assert_eq!(
+            materialized.fingerprint(),
+            streamed.fingerprint(),
+            "{} capped fused run diverged",
+            w.name()
+        );
+        assert!(src.peak_buffered_events() <= bound);
     }
 }
 
