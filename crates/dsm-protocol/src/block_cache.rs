@@ -8,11 +8,11 @@
 //!
 //! Blocks are addressed by [`BlockRef`]: the sparse id picks the
 //! direct-mapped set (so conflict behaviour is a function of real
-//! addresses), while the dense index keys the infinite variant's flat slab —
-//! making the perfect cache's lookups array accesses and its page flushes
-//! 64-slot scans instead of whole-table walks.
+//! addresses), while the dense index keys the infinite variant's flat slab
+//! of 2-bit cells — making the perfect cache's lookups word accesses and its
+//! page flushes 64-cell scans instead of whole-table walks.
 
-use mem_trace::{BlockRef, Geometry, PageRef, Slab};
+use mem_trace::{BlockRef, Geometry, PackedSlab, PageRef};
 
 /// State of a block held in the block cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,6 +21,24 @@ pub enum BlockState {
     Clean,
     /// Dirty copy; must be written back to the home on eviction or flush.
     Dirty,
+}
+
+impl BlockState {
+    /// The infinite cache's 2-bit cell for a resident block (0 = absent).
+    fn cell(self) -> u8 {
+        match self {
+            BlockState::Clean => 1,
+            BlockState::Dirty => 2,
+        }
+    }
+
+    fn from_cell(cell: u8) -> Option<Self> {
+        match cell {
+            0 => None,
+            1 => Some(BlockState::Clean),
+            _ => Some(BlockState::Dirty),
+        }
+    }
 }
 
 /// Block-cache sizing.
@@ -64,8 +82,9 @@ enum Storage {
         states: Vec<BlockState>,
     },
     Infinite {
-        /// Dense per-block-index slots; `resident` counts the `Some`s.
-        blocks: Slab<Option<BlockState>>,
+        /// Dense per-block-index cells (see [`BlockState::cell`]);
+        /// `resident` counts the non-zero ones.
+        blocks: PackedSlab,
         resident: usize,
     },
 }
@@ -104,7 +123,7 @@ impl BlockCache {
                 }
             }
             None => Storage::Infinite {
-                blocks: Slab::new(),
+                blocks: PackedSlab::new(),
                 resident: 0,
             },
         };
@@ -140,7 +159,9 @@ impl BlockCache {
                     None
                 }
             }
-            Storage::Infinite { blocks, .. } => blocks.get(block.idx.index()).copied().flatten(),
+            Storage::Infinite { blocks, .. } => {
+                BlockState::from_cell(blocks.get(block.idx.index()))
+            }
         }
     }
 
@@ -173,11 +194,11 @@ impl BlockCache {
                 victim
             }
             Storage::Infinite { blocks, resident } => {
-                let slot = blocks.entry(block.idx.index());
-                if slot.is_none() {
+                let i = block.idx.index();
+                if blocks.get(i) == 0 {
                     *resident += 1;
                 }
-                *slot = Some(state);
+                blocks.put(i, state.cell());
                 None
             }
         }
@@ -197,13 +218,12 @@ impl BlockCache {
                 }
             }
             Storage::Infinite { blocks, .. } => {
-                match blocks.get_mut(block.idx.index()).and_then(Option::as_mut) {
-                    Some(s) => {
-                        *s = BlockState::Dirty;
-                        true
-                    }
-                    None => false,
+                let i = block.idx.index();
+                let resident = blocks.get(i) != 0;
+                if resident {
+                    blocks.put(i, BlockState::Dirty.cell());
                 }
+                resident
             }
         }
     }
@@ -221,13 +241,11 @@ impl BlockCache {
                 }
             }
             Storage::Infinite { blocks, resident } => {
-                match blocks.get_mut(block.idx.index()).map(Option::take) {
-                    Some(Some(s)) => {
-                        *resident -= 1;
-                        Some(s)
-                    }
-                    _ => None,
+                let state = BlockState::from_cell(blocks.take(block.idx.index()));
+                if state.is_some() {
+                    *resident -= 1;
                 }
+                state
             }
         }
     }
@@ -250,10 +268,10 @@ impl BlockCache {
             }
             Storage::Infinite { blocks, resident } => {
                 // The page's blocks sit in `blocks_per_page` contiguous
-                // slots.
+                // cells.
                 for offset in 0..geometry.blocks_per_page() {
                     let block = geometry.block_ref_at(page, offset);
-                    if let Some(Some(s)) = blocks.get_mut(block.idx.index()).map(Option::take) {
+                    if let Some(s) = BlockState::from_cell(blocks.take(block.idx.index())) {
                         *resident -= 1;
                         flushed.push((block, s));
                     }

@@ -233,13 +233,22 @@ impl Topology {
         procs_per_node: 4,
     };
 
+    /// The most processors a cluster can have: every [`ProcId`] is a `u16`.
+    pub const MAX_PROCS: usize = 1 << 16;
+
     /// Construct a topology.
     ///
     /// # Panics
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero, or if the cluster would have more
+    /// than [`Topology::MAX_PROCS`] processors.
     pub fn new(nodes: u16, procs_per_node: u16) -> Self {
         assert!(nodes > 0, "cluster needs at least one node");
         assert!(procs_per_node > 0, "node needs at least one processor");
+        assert!(
+            nodes as usize * procs_per_node as usize <= Self::MAX_PROCS,
+            "{nodes} nodes x {procs_per_node} processors exceed the {} processor ids",
+            Self::MAX_PROCS
+        );
         Topology {
             nodes,
             procs_per_node,
@@ -260,8 +269,8 @@ impl Topology {
 
     /// The processors belonging to `node`, in order.
     pub fn procs_of(&self, node: NodeId) -> impl Iterator<Item = ProcId> {
-        let first = node.0 * self.procs_per_node;
-        (first..first + self.procs_per_node).map(ProcId)
+        let first = node.index() * self.procs_per_node as usize;
+        (first..first + self.procs_per_node as usize).map(|p| ProcId(p as u16))
     }
 
     /// Iterate over all node ids.
@@ -271,7 +280,7 @@ impl Topology {
 
     /// Iterate over all processor ids.
     pub fn proc_ids(&self) -> impl Iterator<Item = ProcId> {
-        (0..self.nodes * self.procs_per_node).map(ProcId)
+        (0..self.total_procs()).map(|p| ProcId(p as u16))
     }
 
     /// `true` if two processors reside on the same node.
@@ -377,6 +386,22 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn zero_nodes_rejected() {
         let _ = Topology::new(0, 4);
+    }
+
+    #[test]
+    fn the_largest_cluster_enumerates_every_processor_id() {
+        let t = Topology::new(256, 256);
+        assert_eq!(t.total_procs(), Topology::MAX_PROCS);
+        assert_eq!(t.proc_ids().last(), Some(ProcId(u16::MAX)));
+        let last: Vec<ProcId> = t.procs_of(NodeId(255)).collect();
+        assert_eq!((last[0], last[255]), (ProcId(65280), ProcId(u16::MAX)));
+        assert_eq!(t.node_of(ProcId(u16::MAX)), NodeId(255));
+    }
+
+    #[test]
+    #[should_panic(expected = "257 nodes x 256 processors exceed")]
+    fn processor_products_past_the_id_range_are_rejected() {
+        let _ = Topology::new(257, 256);
     }
 
     #[test]

@@ -397,8 +397,8 @@ impl PageInterner {
 /// A growable dense table keyed by an interned index: reads past the
 /// populated prefix see the default value, writes grow the backing `Vec` on
 /// demand.  This is the storage discipline behind every flattened map in the
-/// memory system (directory entries, page-table slots, miss histories,
-/// policy counters).
+/// memory system (directory entries, page-table slots, policy counters);
+/// four-state per-block tables use the 2-bit [`PackedSlab`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct Slab<T> {
     items: Vec<T>,
@@ -450,6 +450,78 @@ impl<T: Default + Clone> Slab<T> {
     /// Iterate over `(index, slot)` pairs of materialized slots.
     pub fn iter_enumerated(&self) -> impl Iterator<Item = (usize, &T)> {
         self.items.iter().enumerate()
+    }
+}
+
+/// A [`Slab`] of 2-bit cells, 32 to a `u64` word: the storage for per-block
+/// tables with at most four states (miss histories, the infinite block
+/// cache), which a byte per cell would make 4x larger.  Cells hold `0..=3`;
+/// reads past the materialized words see 0, writes grow the word `Vec` on
+/// demand.
+#[derive(Debug, Clone, Default)]
+pub struct PackedSlab {
+    words: Vec<u64>,
+}
+
+impl PackedSlab {
+    /// Cells per backing word.
+    pub const CELLS_PER_WORD: usize = 32;
+
+    /// An empty slab.
+    pub fn new() -> Self {
+        PackedSlab { words: Vec::new() }
+    }
+
+    /// Number of materialized cells (always a whole number of words).
+    pub fn len(&self) -> usize {
+        self.words.len() * Self::CELLS_PER_WORD
+    }
+
+    /// `true` if no cell has been materialized.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// The word holding cell `i` and the cell's bit offset in it.
+    #[inline]
+    fn split(i: usize) -> (usize, u32) {
+        (
+            i / Self::CELLS_PER_WORD,
+            2 * (i % Self::CELLS_PER_WORD) as u32,
+        )
+    }
+
+    /// Cell `i`, or 0 if it was never materialized.
+    #[inline]
+    pub fn get(&self, i: usize) -> u8 {
+        let (word, shift) = Self::split(i);
+        self.words.get(word).map_or(0, |w| ((w >> shift) & 3) as u8)
+    }
+
+    /// Store `value` (`0..=3`) in cell `i`, growing the slab as needed.
+    #[inline]
+    pub fn put(&mut self, i: usize, value: u8) {
+        debug_assert!(value < 4, "2-bit cell value {value}");
+        let (word, shift) = Self::split(i);
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let w = &mut self.words[word];
+        *w = (*w & !(3 << shift)) | (u64::from(value) << shift);
+    }
+
+    /// Clear cell `i` to 0 and return what it held, without growing.
+    #[inline]
+    pub fn take(&mut self, i: usize) -> u8 {
+        let (word, shift) = Self::split(i);
+        match self.words.get_mut(word) {
+            Some(w) => {
+                let old = ((*w >> shift) & 3) as u8;
+                *w &= !(3 << shift);
+                old
+            }
+            None => 0,
+        }
     }
 }
 
@@ -531,5 +603,23 @@ mod tests {
         assert_eq!(s.get_mut(9), None, "get_mut never grows");
         assert_eq!(s.iter().copied().sum::<u64>(), 7);
         assert_eq!(s.iter_enumerated().count(), 4);
+    }
+
+    #[test]
+    fn packed_slab_cells_are_independent_across_word_edges() {
+        let mut s = PackedSlab::new();
+        assert!(s.is_empty());
+        assert_eq!(s.get(1_000), 0);
+        assert_eq!(s.take(40), 0, "take never grows");
+        assert!(s.is_empty());
+        for (i, v) in [(31, 3), (32, 1), (0, 2), (63, 1)] {
+            s.put(i, v);
+        }
+        assert_eq!(s.len(), 64);
+        assert_eq!((s.get(0), s.get(1), s.get(31), s.get(32)), (2, 0, 3, 1));
+        assert_eq!(s.take(31), 3);
+        assert_eq!((s.get(30), s.get(31), s.get(32)), (0, 0, 1));
+        s.put(32, 2);
+        assert_eq!((s.get(32), s.get(33), s.get(63)), (2, 0, 1));
     }
 }

@@ -42,7 +42,7 @@ pub use addr::{
     PAGE_SIZE,
 };
 pub use builder::{EventSink, StepWriter, TraceBuilder, TraceWriter};
-pub use intern::{BlockIdx, BlockRef, PageIdx, PageInterner, PageRef, Slab};
+pub use intern::{BlockIdx, BlockRef, PackedSlab, PageIdx, PageInterner, PageRef, Slab};
 pub use layout::{AddressSpace, Segment};
 pub use replay::{record, record_to_file, ReplaySource};
 pub use sharers::SharerSet;

@@ -179,7 +179,7 @@ impl<R: Read> ReplaySource<R> {
         // ProcIds are u16: anything past 65536 processors cannot appear in
         // event records, so a bigger header is corruption — reject it before
         // sizing the demux by it.
-        if nodes as u64 * procs_per_node as u64 > u64::from(u16::MAX) + 1 {
+        if nodes as usize * procs_per_node as usize > Topology::MAX_PROCS {
             return Err(corrupt("topology larger than the processor id space"));
         }
         let topology = Topology::new(nodes, procs_per_node);

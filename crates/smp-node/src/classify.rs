@@ -15,7 +15,7 @@
 //! re-fetches, so the classifier is also the source of the signal that
 //! drives relocation decisions.
 
-use mem_trace::{BlockIdx, Slab};
+use mem_trace::{BlockIdx, PackedSlab};
 
 /// Classification of a processor-cache miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,11 +30,11 @@ pub enum MissClass {
 }
 
 /// What the classifier remembers about a block: whether this processor ever
-/// cached it and, if it left the cache, why.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// cached it and, if it left the cache, why.  The discriminant is the
+/// block's 2-bit history cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum History {
-    /// Never cached by this processor (the slab's default).
-    #[default]
+    /// Never cached by this processor (the slab's default, 0).
     Untouched,
     /// Currently believed resident.
     Resident,
@@ -45,14 +45,25 @@ enum History {
     Invalidated,
 }
 
+impl History {
+    fn from_cell(cell: u8) -> Self {
+        match cell {
+            0 => History::Untouched,
+            1 => History::Resident,
+            2 => History::Evicted,
+            _ => History::Invalidated,
+        }
+    }
+}
+
 /// Tracks, per processor, the history needed to classify misses.
 ///
-/// The history is a dense slab over interned block indices — one byte per
+/// The history is a dense slab over interned block indices — two bits per
 /// block the *cluster* touched — so the per-miss classification and the
-/// per-fill/eviction/invalidation bookkeeping are single array accesses.
+/// per-fill/eviction/invalidation bookkeeping are single word accesses.
 #[derive(Debug, Clone, Default)]
 pub struct MissClassifier {
-    history: Slab<History>,
+    history: PackedSlab,
     cold: u64,
     coherence: u64,
     capacity_conflict: u64,
@@ -67,7 +78,7 @@ impl MissClassifier {
     /// Classify (and record) a miss on `block`.  Call exactly once per
     /// processor-cache miss, before recording the subsequent fill.
     pub fn classify_miss(&mut self, block: BlockIdx) -> MissClass {
-        let class = match self.history.get(block.index()).copied().unwrap_or_default() {
+        let class = match History::from_cell(self.history.get(block.index())) {
             History::Untouched => MissClass::Cold,
             History::Resident => {
                 // Block believed resident yet we missed: this happens when a
@@ -89,17 +100,17 @@ impl MissClassifier {
 
     /// Record that `block` is now resident in this processor's cache.
     pub fn record_fill(&mut self, block: BlockIdx) {
-        *self.history.entry(block.index()) = History::Resident;
+        self.history.put(block.index(), History::Resident as u8);
     }
 
     /// Record that `block` was evicted (capacity/conflict departure).
     pub fn record_eviction(&mut self, block: BlockIdx) {
-        *self.history.entry(block.index()) = History::Evicted;
+        self.history.put(block.index(), History::Evicted as u8);
     }
 
     /// Record that `block` was invalidated by the coherence protocol.
     pub fn record_invalidation(&mut self, block: BlockIdx) {
-        *self.history.entry(block.index()) = History::Invalidated;
+        self.history.put(block.index(), History::Invalidated as u8);
     }
 
     /// `(cold, coherence, capacity_conflict)` counts so far.

@@ -23,6 +23,7 @@ use dsm_bench::perf::{collect_trend, format_trend};
 use dsm_bench::report::{format_sweep_points, format_sweep_table, sweep_to_csv};
 use dsm_bench::{ExperimentScale, Sweep, SweepEvent, SweepResult};
 use dsm_core::{MachineConfig, SystemConfig};
+use mem_trace::Topology;
 
 /// What the connection loop should do after a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,10 +261,11 @@ impl SweepService {
 }
 
 /// Reject machine axes the simulator cannot build a machine from: zero
-/// node or processor counts, sizes that are not powers of two, a block
-/// larger than a page, and sizes that leave the L1, a block cache or a page
-/// cache of one of `systems` without a single line or frame.  Unset size
-/// axes fall back to the paper geometry, as in [`Sweep`].
+/// node or processor counts, more processors than there are processor ids,
+/// sizes that are not powers of two, a block larger than a page, and sizes
+/// that leave the L1, a block cache or a page cache of one of `systems`
+/// without a single line or frame.  Unset axes fall back to the paper
+/// machine, as in [`Sweep`].
 fn validate_machine_axes<'a>(
     spec: &SweepSpec,
     systems: impl Iterator<Item = &'a SystemConfig>,
@@ -276,6 +278,19 @@ fn validate_machine_axes<'a>(
             return Err(format!("`{key}` values must be at least 1"));
         }
     }
+    // Every node count meets every processor count on the grid, so the
+    // extremes decide.
+    let paper = MachineConfig::PAPER;
+    let nodes = spec.nodes.iter().max().copied();
+    let nodes = nodes.unwrap_or(paper.topology.nodes);
+    let ppn = spec.procs_per_node.iter().max().copied();
+    let ppn = ppn.unwrap_or(paper.topology.procs_per_node);
+    if nodes as usize * ppn as usize > Topology::MAX_PROCS {
+        return Err(format!(
+            "`nodes` x `procs_per_node` = {nodes} x {ppn} exceeds the {} processor ids",
+            Topology::MAX_PROCS
+        ));
+    }
     for (key, sizes) in [
         ("page_bytes", &spec.page_bytes),
         ("block_bytes", &spec.block_bytes),
@@ -285,7 +300,6 @@ fn validate_machine_axes<'a>(
         }
     }
     // Every page meets every block on the grid, so the extremes decide.
-    let paper = MachineConfig::PAPER;
     let page = spec.page_bytes.iter().max().copied();
     let page = page.unwrap_or(paper.geometry.page_bytes);
     let min_page = spec.page_bytes.iter().min().copied().unwrap_or(page);
@@ -471,6 +485,14 @@ mod tests {
             (
                 r#"{"kind":"sweep","id":"e","procs_per_node":[4,0]}"#,
                 "at least 1",
+            ),
+            (
+                r#"{"kind":"sweep","id":"e","nodes":[2,300],"procs_per_node":[256,1]}"#,
+                "`nodes` x `procs_per_node` = 300 x 256 exceeds",
+            ),
+            (
+                r#"{"kind":"sweep","id":"e","nodes":[16385]}"#,
+                "16385 x 4 exceeds",
             ),
             (
                 r#"{"kind":"sweep","id":"e","page_bytes":[1000]}"#,

@@ -6,6 +6,11 @@
 //! `ulimit -v` address-space ceiling sized so that the fused path
 //! completes while the materialized path aborts on allocation — the
 //! executable proof that streaming keeps peak memory flat at paper scale.
+//! `--nodes`/`--procs-per-node` reshape the cluster, so the same job also
+//! bounds the simulator's per-block state on wide clusters (128x1 under
+//! `perfect-cc-numa` holds one miss history and one infinite block cache
+//! per processor).  Every run prints `vm_hwm_kb=`, the resident-set
+//! high-water mark from `/proc/self/status` (0 where that file is absent).
 //!
 //! `--adversarial` is the quiet-processor regression mode: it drives a
 //! FusedSource over a step generator whose processor 1 goes quiet
@@ -17,7 +22,8 @@
 //!
 //! ```text
 //! memsmoke [--materialize|--fused|--adversarial]
-//!          [--paper] [--workload NAME] [--system cc-numa|r-numa]
+//!          [--paper|--reduced] [--workload NAME] [--nodes N] [--procs-per-node P]
+//!          [--system cc-numa|r-numa|perfect-cc-numa]
 //! ```
 
 use dsm_repro::prelude::*;
@@ -34,6 +40,7 @@ fn main() {
     let mut scale = Scale::Paper;
     let mut workload = String::from("radix");
     let mut system = String::from("cc-numa");
+    let mut topology = Topology::PAPER;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -53,10 +60,13 @@ fn main() {
                     .next()
                     .unwrap_or_else(|| usage("--system needs a value"))
             }
+            "--nodes" => topology.nodes = count(&arg, args.next()),
+            "--procs-per-node" => topology.procs_per_node = count(&arg, args.next()),
             "-h" | "--help" => {
                 println!(
                     "usage: memsmoke [--materialize|--fused|--adversarial] \
-                     [--paper|--reduced] [--workload NAME] [--system cc-numa|r-numa]"
+                     [--paper|--reduced] [--workload NAME] [--nodes N] [--procs-per-node P] \
+                     [--system cc-numa|r-numa|perfect-cc-numa]"
                 );
                 return;
             }
@@ -70,13 +80,22 @@ fn main() {
     }
 
     let wl = by_name(&workload).unwrap_or_else(|| usage(&format!("unknown workload {workload}")));
-    let cfg = WorkloadConfig::at_scale(scale);
+    if topology.total_procs() > Topology::MAX_PROCS {
+        usage(&format!(
+            "{} nodes x {} processors exceed the {} processor ids",
+            topology.nodes,
+            topology.procs_per_node,
+            Topology::MAX_PROCS
+        ));
+    }
+    let cfg = WorkloadConfig::at_scale(scale).with_topology(topology);
     let sys = match system.as_str() {
         "cc-numa" => System::cc_numa().build(),
         "r-numa" => System::r_numa().build(),
+        "perfect-cc-numa" => System::perfect_cc_numa().build(),
         other => usage(&format!("unknown system {other}")),
     };
-    let sim = ClusterSimulator::new(MachineConfig::PAPER, sys);
+    let sim = ClusterSimulator::new(MachineConfig::PAPER.with_topology(topology), sys);
 
     // `peak_window` is the demux high-water mark: 0 for the materialized
     // trace, which never parks events.
@@ -93,15 +112,38 @@ fn main() {
         Mode::Adversarial => unreachable!("handled above"),
     };
     println!(
-        "mode={} workload={} system={} accesses={} barriers={} execution_time={} peak_window={}",
+        "mode={} workload={} system={} topology={}x{} accesses={} barriers={} execution_time={} \
+         peak_window={} vm_hwm_kb={}",
         mode_name,
         result.workload,
         result.system,
+        topology.nodes,
+        topology.procs_per_node,
         result.accesses,
         result.barriers,
         result.execution_time.raw(),
-        peak_window
+        peak_window,
+        vm_hwm_kb()
     );
+}
+
+/// A `--nodes`/`--procs-per-node` value: a processor count of at least 1.
+fn count(flag: &str, value: Option<String>) -> u16 {
+    match value.as_deref().map(str::parse::<u16>) {
+        Some(Ok(n)) if n > 0 => n,
+        _ => usage(&format!("{flag} needs a count from 1 to {}", u16::MAX)),
+    }
+}
+
+/// The process's resident-set high-water mark (`VmHWM` in
+/// `/proc/self/status`), in KB; 0 where that file is unavailable.
+fn vm_hwm_kb() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .unwrap_or(0)
 }
 
 /// Reads processor 0 emits before any end marker: ~640 MB if the demux

@@ -448,3 +448,185 @@ fn scheduler_pops_sorted_by_clock_then_proc_id() {
         assert_eq!(popped, expected, "case {case}");
     }
 }
+
+/// Cell indices where 2-bit packing changes words (31|32, 63|64), the first
+/// cell, and one far past every other index.
+const PACKED_EDGES: [usize; 7] = [0, 31, 32, 63, 64, 95, 100_003];
+
+/// The 2-bit `PackedSlab` behaves like a byte-per-cell `Vec<u8>` that grows
+/// on writes and reads 0 past its end, and materializes whole words.
+#[test]
+fn packed_slab_matches_a_byte_vec() {
+    use mem_trace::PackedSlab;
+    for case in 0..CASES {
+        let mut rng = rng_for("packed-slab", case);
+        let ops = 1 + rng.next_below(2000);
+        let mut slab = PackedSlab::new();
+        let mut reference: Vec<u8> = Vec::new();
+        for _ in 0..ops {
+            let i = if rng.next_below(2) == 0 {
+                PACKED_EDGES[rng.next_below(PACKED_EDGES.len() as u64) as usize]
+            } else {
+                rng.next_below(300) as usize
+            };
+            match rng.next_below(3) {
+                0 => {
+                    let v = rng.next_below(4) as u8;
+                    slab.put(i, v);
+                    if i >= reference.len() {
+                        reference.resize(i + 1, 0);
+                    }
+                    reference[i] = v;
+                }
+                1 => {
+                    let old = reference.get_mut(i).map_or(0, std::mem::take);
+                    assert_eq!(slab.take(i), old, "take({i}), case {case}");
+                }
+                _ => assert_eq!(slab.get(i), reference.get(i).copied().unwrap_or(0)),
+            }
+            let words = reference.len().div_ceil(PackedSlab::CELLS_PER_WORD);
+            assert_eq!(slab.len(), words * PackedSlab::CELLS_PER_WORD);
+            assert_eq!(slab.is_empty(), reference.is_empty());
+        }
+        for i in 0..slab.len() + 64 {
+            assert_eq!(
+                slab.get(i),
+                reference.get(i).copied().unwrap_or(0),
+                "case {case}"
+            );
+        }
+    }
+}
+
+/// The infinite (perfect CC-NUMA) block cache behaves like a
+/// `BTreeMap<BlockIdx, BlockState>`: fills, lookups, dirtying,
+/// invalidations, page flushes and the resident count all agree.
+#[test]
+fn infinite_block_cache_matches_a_btreemap() {
+    use mem_trace::BLOCKS_PER_PAGE;
+    use std::collections::BTreeMap;
+    for case in 0..CASES {
+        let mut rng = rng_for("infinite-block-cache", case);
+        let ops = 1 + rng.next_below(2000);
+        let mut cache = BlockCache::new(BlockCacheConfig::Infinite);
+        let mut reference: BTreeMap<BlockIdx, BlockState> = BTreeMap::new();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for _ in 0..ops {
+            // Eight dense pages plus the word edges of one far page.
+            let n = if rng.next_below(4) == 0 {
+                5000 * BLOCKS_PER_PAGE + PACKED_EDGES[rng.next_below(5) as usize] as u64
+            } else {
+                rng.next_below(8 * BLOCKS_PER_PAGE)
+            };
+            let block = bref(n);
+            match rng.next_below(5) {
+                0 | 1 => {
+                    let state = if rng.next_below(2) == 0 {
+                        BlockState::Clean
+                    } else {
+                        BlockState::Dirty
+                    };
+                    assert_eq!(
+                        cache.fill(block, state),
+                        None,
+                        "infinite caches never evict"
+                    );
+                    reference.insert(block.idx, state);
+                }
+                2 => {
+                    let expected = reference.get(&block.idx).copied();
+                    match expected {
+                        Some(_) => hits += 1,
+                        None => misses += 1,
+                    }
+                    assert_eq!(cache.lookup(block), expected, "case {case}");
+                }
+                3 => {
+                    let expected = match reference.get_mut(&block.idx) {
+                        Some(s) => {
+                            *s = BlockState::Dirty;
+                            true
+                        }
+                        None => false,
+                    };
+                    assert_eq!(cache.mark_dirty(block), expected, "case {case}");
+                }
+                _ if rng.next_below(2) == 0 => {
+                    let expected = reference.remove(&block.idx);
+                    assert_eq!(cache.invalidate(block), expected, "case {case}");
+                }
+                _ => {
+                    let page = pref(n / BLOCKS_PER_PAGE);
+                    let expected: Vec<(BlockRef, BlockState)> = (0..BLOCKS_PER_PAGE)
+                        .map(|offset| page.block_at(offset))
+                        .filter_map(|b| reference.remove(&b.idx).map(|s| (b, s)))
+                        .collect();
+                    assert_eq!(cache.flush_page(page), expected, "case {case}");
+                }
+            }
+            assert_eq!(cache.resident(), reference.len(), "case {case}");
+            assert_eq!(cache.counters(), (hits, misses, 0), "case {case}");
+        }
+        for (&idx, &state) in &reference {
+            assert_eq!(cache.state_of(bref(u64::from(idx.0))), Some(state));
+        }
+    }
+}
+
+/// `MissClassifier` classifies every miss as a per-block map of departure
+/// reasons says it should, and its counts match the classes returned.
+#[test]
+fn miss_classifier_matches_a_per_block_history_map() {
+    use smp_node::{MissClass, MissClassifier};
+    use std::collections::BTreeMap;
+    #[derive(Clone, Copy)]
+    enum Seen {
+        Resident,
+        Evicted,
+        Invalidated,
+    }
+    for case in 0..CASES {
+        let mut rng = rng_for("miss-classifier", case);
+        let ops = 1 + rng.next_below(2000);
+        let mut classifier = MissClassifier::new();
+        let mut reference: BTreeMap<usize, Seen> = BTreeMap::new();
+        let mut counts = (0u64, 0u64, 0u64);
+        for _ in 0..ops {
+            let i = if rng.next_below(2) == 0 {
+                PACKED_EDGES[rng.next_below(PACKED_EDGES.len() as u64) as usize]
+            } else {
+                rng.next_below(300) as usize
+            };
+            let block = BlockIdx(i as u32);
+            match rng.next_below(4) {
+                0 => {
+                    let expected = match reference.get(&i) {
+                        None => MissClass::Cold,
+                        Some(Seen::Invalidated) => MissClass::Coherence,
+                        Some(Seen::Resident | Seen::Evicted) => MissClass::CapacityConflict,
+                    };
+                    match expected {
+                        MissClass::Cold => counts.0 += 1,
+                        MissClass::Coherence => counts.1 += 1,
+                        MissClass::CapacityConflict => counts.2 += 1,
+                    }
+                    assert_eq!(classifier.classify_miss(block), expected, "case {case}");
+                }
+                1 => {
+                    classifier.record_fill(block);
+                    reference.insert(i, Seen::Resident);
+                }
+                2 => {
+                    classifier.record_eviction(block);
+                    reference.insert(i, Seen::Evicted);
+                }
+                _ => {
+                    classifier.record_invalidation(block);
+                    reference.insert(i, Seen::Invalidated);
+                }
+            }
+            assert_eq!(classifier.counts(), counts, "case {case}");
+            assert_eq!(classifier.total(), counts.0 + counts.1 + counts.2);
+        }
+    }
+}
