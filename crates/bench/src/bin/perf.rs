@@ -11,7 +11,9 @@
 //! job, printed to stdout.  With `--baseline FILE` the run additionally
 //! compares its events/sec against the committed baseline JSON and exits
 //! with status 1 if any job regressed more than `--tolerance` percent
-//! (default 30) — the check behind the CI perf-smoke job.
+//! (default 30) — the check behind the CI perf-smoke job.  A baseline that
+//! is not valid JSON, has no `jobs` array, or shares no job with the run
+//! exits with status 2: a check that compared nothing does not pass.
 
 use std::path::PathBuf;
 
@@ -120,16 +122,17 @@ fn main() {
     if let Some(path) = &baseline {
         let baseline_json = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(&format!("reading baseline {}: {e}", path.display())));
-        let failures = perf::regression_failures(&report, &baseline_json, tolerance_pct / 100.0);
-        if !failures.is_empty() {
-            for f in &failures {
+        let check = perf::regression_failures(&report, &baseline_json, tolerance_pct / 100.0)
+            .unwrap_or_else(|e| fail(&format!("baseline {}: {e}", path.display())));
+        if !check.failures.is_empty() {
+            for f in &check.failures {
                 eprintln!("perf regression: {f}");
             }
             std::process::exit(1);
         }
         eprintln!(
             "perf baseline check passed ({} jobs within {tolerance_pct}% of {})",
-            report.jobs.len(),
+            check.compared,
             path.display()
         );
     }

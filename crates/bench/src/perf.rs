@@ -15,7 +15,13 @@
 //!   `BENCH_*.json` format the perf trajectory is tracked in;
 //! * [`regression_failures`] compares a fresh report against a committed
 //!   baseline JSON and flags every job whose throughput regressed beyond a
-//!   tolerance — the check behind the CI perf-smoke job.
+//!   tolerance — the check behind the CI perf-smoke job.  A baseline that
+//!   cannot be read, or shares no job with the run, is an error rather than
+//!   a pass;
+//! * [`collect_trend`]/[`format_trend`] tabulate the committed
+//!   `BENCH_*.json` trajectory for the `trend` binary.
+//!
+//! Every JSON document is read with the workspace parser (`dsm_json`).
 
 use std::io;
 use std::path::Path;
@@ -23,6 +29,7 @@ use std::time::Instant;
 
 use crate::presets::ExperimentScale;
 use dsm_core::{ClusterSimulator, MachineConfig, SystemConfig};
+use dsm_json::{escape, Value};
 use splash_workloads::{by_name, WorkloadConfig};
 
 /// Throughput measurement of one (workload, system) job.
@@ -133,7 +140,11 @@ fn job_json(j: &PerfJob) -> String {
             "{{\"workload\":\"{}\",\"system\":\"{}\",\"elapsed_seconds\":{:.6},",
             "\"accesses\":{},\"events_per_sec\":{:.1}}}"
         ),
-        j.workload, j.system, j.elapsed_seconds, j.accesses, j.events_per_sec
+        escape(&j.workload),
+        escape(&j.system),
+        j.elapsed_seconds,
+        j.accesses,
+        j.events_per_sec
     )
 }
 
@@ -150,7 +161,7 @@ pub fn to_json(report: &PerfReport) -> String {
             "{{\"bench\":\"perf\",\"scale\":\"{}\",\"repeats\":{},",
             "\"mean_events_per_sec\":{:.1},\"jobs\":[{}]}}"
         ),
-        report.scale,
+        escape(&report.scale),
         report.repeats,
         report.mean_events_per_sec(),
         jobs
@@ -162,61 +173,56 @@ pub fn write_json(path: &Path, report: &PerfReport) -> io::Result<()> {
     std::fs::write(path, to_json(report) + "\n")
 }
 
-/// Pull `(workload, system, events_per_sec)` triples out of a perf-report
-/// JSON (the format written by [`to_json`]).
-///
-/// The offline environment has no JSON parser (serde is a no-op shim), so
-/// this is a purpose-built scanner for the one format this module writes:
-/// it walks `"workload"` keys and reads the two sibling fields this check
-/// needs.  Unknown fields are skipped; malformed entries are dropped.
-pub fn parse_jobs(json: &str) -> Vec<(String, String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(start) = rest.find("\"workload\":\"") {
-        rest = &rest[start + "\"workload\":\"".len()..];
-        let Some(wend) = rest.find('"') else { break };
-        let workload = rest[..wend].to_string();
-        rest = &rest[wend..];
-        let Some(sys_at) = rest.find("\"system\":\"") else {
-            break;
-        };
-        rest = &rest[sys_at + "\"system\":\"".len()..];
-        let Some(send) = rest.find('"') else { break };
-        let system = rest[..send].to_string();
-        rest = &rest[send..];
-        let Some(eps_at) = rest.find("\"events_per_sec\":") else {
-            break;
-        };
-        rest = &rest[eps_at + "\"events_per_sec\":".len()..];
-        let num_end = rest
-            .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        if let Ok(eps) = rest[..num_end].parse::<f64>() {
-            out.push((workload, system, eps));
-        }
-        rest = &rest[num_end..];
-    }
-    out
+/// The outcome of comparing a report against a baseline.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BaselineCheck {
+    /// Baseline jobs the current report also ran: the jobs compared.
+    pub compared: usize,
+    /// One message per regressed job (empty = pass).
+    pub failures: Vec<String>,
 }
 
-/// Compare a fresh report against a committed baseline JSON: every baseline
-/// job also present in `current` must reach at least `(1 - tolerance)` of
-/// its baseline events/sec.  Returns one message per regressed job (empty =
-/// pass).  Baseline jobs the current report did not run are skipped, so a
-/// CI smoke run may cover a subset of the committed matrix.
+/// Compare a fresh report against a committed baseline JSON (the format
+/// written by [`to_json`]): every baseline job also present in `current`
+/// must reach at least `(1 - tolerance)` of its baseline events/sec.
+/// Baseline jobs the current report did not run are skipped, so a CI smoke
+/// run may cover a subset of the committed matrix.
+///
+/// A baseline that is not JSON, has no `jobs` array, holds a job without
+/// `workload`/`system`/`events_per_sec`, or shares no job with `current`
+/// is an `Err`: a gate that compared nothing must not pass.
 pub fn regression_failures(
     current: &PerfReport,
     baseline_json: &str,
     tolerance: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (workload, system, base_eps) in parse_jobs(baseline_json) {
-        let Some(job) = current.job(&workload, &system) else {
+) -> Result<BaselineCheck, String> {
+    let doc =
+        dsm_json::parse(baseline_json).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
+    let jobs = doc
+        .get("jobs")
+        .and_then(Value::as_arr)
+        .ok_or("baseline has no `jobs` array")?;
+    let mut check = BaselineCheck {
+        compared: 0,
+        failures: Vec::new(),
+    };
+    for (i, base) in jobs.iter().enumerate() {
+        let (Some(workload), Some(system), Some(base_eps)) = (
+            base.get_str("workload"),
+            base.get_str("system"),
+            base.get("events_per_sec").and_then(Value::as_f64),
+        ) else {
+            return Err(format!(
+                "baseline job {i} needs `workload`, `system` and `events_per_sec`"
+            ));
+        };
+        let Some(job) = current.job(workload, system) else {
             continue;
         };
+        check.compared += 1;
         let floor = base_eps * (1.0 - tolerance);
         if job.events_per_sec < floor {
-            failures.push(format!(
+            check.failures.push(format!(
                 "{workload}/{system}: {:.0} events/sec is below {:.0} \
                  ({:.0}% of the {:.0} baseline)",
                 job.events_per_sec,
@@ -226,7 +232,10 @@ pub fn regression_failures(
             ));
         }
     }
-    failures
+    if check.compared == 0 {
+        return Err("baseline shares no job with this run".to_string());
+    }
+    Ok(check)
 }
 
 // ---------------------------------------------------------------------
@@ -238,59 +247,71 @@ pub fn regression_failures(
 pub struct TrendEntry {
     /// File name the entry came from.
     pub file: String,
-    /// PR number (the JSON's `"pr"` field, else parsed from the
+    /// PR number (the JSON's top-level `"pr"` field, else parsed from the
     /// `BENCH_<n>.json` name).
     pub pr: Option<u64>,
-    /// Parameter scale of the measurement.
-    pub scale: String,
-    /// Mean events/sec.  Trajectory files with pre/post sections report the
-    /// *last* (post-change) measurement: the state the PR left the repo in.
-    pub mean_events_per_sec: f64,
+    /// What the file says about throughput.
+    pub mean: TrendMean,
 }
 
-/// Scan one `BENCH_*.json` body for its trend entry.  Handles both the
-/// plain [`to_json`] report shape and the pre/post trajectory wrapper of
-/// `BENCH_3.json` (where the last `mean_events_per_sec` is the post-change
-/// state).
-pub fn parse_trend_entry(file: &str, json: &str) -> Option<TrendEntry> {
-    let mean = json
-        .rmatch_indices("\"mean_events_per_sec\":")
-        .next()
-        .and_then(|(at, key)| scan_number(&json[at + key.len()..]))?;
-    let scale = json
-        .rmatch_indices("\"scale\":")
-        .next()
-        .and_then(|(at, key)| {
-            // Tolerate pretty-printed JSON: whitespace before the value.
-            let rest = json[at + key.len()..].trim_start();
-            let rest = rest.strip_prefix('"')?;
-            rest.find('"').map(|end| rest[..end].to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    let pr = json
-        .find("\"pr\":")
-        .and_then(|at| scan_number(&json[at + "\"pr\":".len()..]))
-        .map(|n| n as u64)
-        .or_else(|| {
-            file.strip_prefix("BENCH_")?
-                .strip_suffix(".json")?
-                .parse()
-                .ok()
-        });
-    Some(TrendEntry {
+/// The throughput a `BENCH_*.json` file reports, if any.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TrendMean {
+    /// The last `mean_events_per_sec` in document order, with the `scale`
+    /// of the same object ("unknown" if it has none).  Trajectory files
+    /// with pre/post sections thus report the post-change measurement: the
+    /// state the PR left the repo in.
+    Measured {
+        /// Parameter scale of the measurement.
+        scale: String,
+        /// Mean events/sec.
+        events_per_sec: f64,
+    },
+    /// Valid JSON that carries no perf mean (a bench of something else).
+    Absent,
+    /// Not valid JSON; the parser's error.  No number is read out of it.
+    Unparsable(String),
+}
+
+/// Read one `BENCH_*.json` body as a trend entry.  Handles both the plain
+/// [`to_json`] report shape and the trajectory wrappers that nest one or
+/// more reports.
+pub fn parse_trend_entry(file: &str, json: &str) -> TrendEntry {
+    let pr_from_name = file
+        .strip_prefix("BENCH_")
+        .and_then(|f| f.strip_suffix(".json"))
+        .and_then(|n| n.parse().ok());
+    let (pr, mean) = match dsm_json::parse(json) {
+        Err(e) => (pr_from_name, TrendMean::Unparsable(e)),
+        Ok(doc) => {
+            let mean = match last_mean(&doc) {
+                Some((owner, events_per_sec)) => TrendMean::Measured {
+                    scale: owner.get_str("scale").unwrap_or("unknown").to_string(),
+                    events_per_sec,
+                },
+                None => TrendMean::Absent,
+            };
+            (doc.get_u64("pr").or(pr_from_name), mean)
+        }
+    };
+    TrendEntry {
         file: file.to_string(),
         pr,
-        scale,
-        mean_events_per_sec: mean,
-    })
+        mean,
+    }
 }
 
-fn scan_number(rest: &str) -> Option<f64> {
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The last numeric `mean_events_per_sec` member in document order, with
+/// the object that holds it.
+fn last_mean(v: &Value) -> Option<(&Value, f64)> {
+    match v {
+        Value::Obj(members) => members.iter().rev().find_map(|(k, c)| match c {
+            Value::Num(n) if k == "mean_events_per_sec" => Some((v, *n)),
+            _ => last_mean(c),
+        }),
+        Value::Arr(items) => items.iter().rev().find_map(last_mean),
+        _ => None,
+    }
 }
 
 /// Collect every `BENCH_*.json` under `dir` into trend entries, ordered by
@@ -304,9 +325,7 @@ pub fn collect_trend(dir: &Path) -> io::Result<Vec<TrendEntry>> {
             continue;
         }
         let body = std::fs::read_to_string(entry.path())?;
-        if let Some(t) = parse_trend_entry(&name, &body) {
-            entries.push(t);
-        }
+        entries.push(parse_trend_entry(&name, &body));
     }
     entries.sort_by(|a, b| match (a.pr, b.pr) {
         (Some(x), Some(y)) => x.cmp(&y),
@@ -317,33 +336,46 @@ pub fn collect_trend(dir: &Path) -> io::Result<Vec<TrendEntry>> {
     Ok(entries)
 }
 
-/// Tabulate the trend: one row per `BENCH_*.json`, with each row's speedup
-/// against the previous PR's mean.  A ratio is only printed when the two
-/// rows were measured at the same scale — a reduced-vs-paper quotient would
-/// read as a huge regression (or win) that is really just the scale change.
+/// Tabulate the trend: one row per `BENCH_*.json`, with each measured
+/// row's speedup against the previous measured row.  A ratio is only
+/// printed when the two rows were measured at the same scale — a
+/// reduced-vs-paper quotient would read as a huge regression (or win) that
+/// is really just the scale change.  A file without a perf mean shows `-`;
+/// one that is not valid JSON says so, with the parser's error.
 pub fn format_trend(entries: &[TrendEntry]) -> String {
     let mut out = String::from("# perf trend: mean events/sec per PR (from BENCH_*.json)\n");
     out.push_str(&format!(
         "{:<16} {:>4} {:>9} {:>20} {:>10}\n",
         "file", "pr", "scale", "mean_events_per_sec", "vs_prev"
     ));
-    let mut prev: Option<&TrendEntry> = None;
+    let mut prev: Option<(&str, f64)> = None;
     for e in entries {
-        let vs_prev = match prev {
-            Some(p) if p.mean_events_per_sec > 0.0 && p.scale == e.scale => {
-                format!("{:.2}x", e.mean_events_per_sec / p.mean_events_per_sec)
+        let pr = e.pr.map_or_else(|| "-".to_string(), |p| p.to_string());
+        let (scale, mean, vs_prev) = match &e.mean {
+            TrendMean::Measured {
+                scale,
+                events_per_sec,
+            } => {
+                let vs_prev = match prev {
+                    Some((prev_scale, prev_mean)) if prev_mean > 0.0 && prev_scale == scale => {
+                        format!("{:.2}x", events_per_sec / prev_mean)
+                    }
+                    _ => "-".to_string(),
+                };
+                prev = Some((scale, *events_per_sec));
+                (scale.as_str(), format!("{events_per_sec:.1}"), vs_prev)
             }
-            _ => "-".to_string(),
+            TrendMean::Absent => ("-", "-".to_string(), "-".to_string()),
+            TrendMean::Unparsable(_) => ("-", "unparsable".to_string(), "-".to_string()),
         };
         out.push_str(&format!(
-            "{:<16} {:>4} {:>9} {:>20.1} {:>10}\n",
-            e.file,
-            e.pr.map_or_else(|| "-".to_string(), |p| p.to_string()),
-            e.scale,
-            e.mean_events_per_sec,
-            vs_prev
+            "{:<16} {:>4} {:>9} {:>20} {:>10}",
+            e.file, pr, scale, mean, vs_prev
         ));
-        prev = Some(e);
+        if let TrendMean::Unparsable(why) = &e.mean {
+            out.push_str(&format!("  ({why})"));
+        }
+        out.push('\n');
     }
     out
 }
@@ -379,28 +411,44 @@ mod tests {
     fn json_round_trips_through_the_scanner() {
         let report = toy_report();
         let json = to_json(&report);
-        assert!(json.contains("\"bench\":\"perf\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let jobs = parse_jobs(&json);
+        let doc = dsm_json::parse(&json).unwrap();
+        assert_eq!(doc.get_str("bench"), Some("perf"));
+        assert_eq!(doc.get_str("scale"), Some("reduced"));
+        assert_eq!(doc.get_u64("repeats"), Some(2));
+        let jobs = doc.get("jobs").and_then(Value::as_arr).unwrap();
         assert_eq!(jobs.len(), 2);
-        assert_eq!(jobs[0].0, "radix");
-        assert_eq!(jobs[0].1, "CC-NUMA");
-        assert!((jobs[0].2 - 2_000_000.0).abs() < 1.0);
-        assert_eq!(jobs[1].0, "lu");
+        assert_eq!(jobs[0].get_str("workload"), Some("radix"));
+        assert_eq!(jobs[0].get_str("system"), Some("CC-NUMA"));
+        assert_eq!(jobs[0].get_u64("accesses"), Some(1_000_000));
+        let eps = jobs[0].get("events_per_sec").and_then(Value::as_f64);
+        assert_eq!(eps, Some(2_000_000.0));
+        assert_eq!(jobs[1].get_str("workload"), Some("lu"));
+
+        // Name fields are escaped: an awkward name survives the round trip.
+        let mut odd = toy_report();
+        odd.jobs[0].system = "CC\"NUMA\\\t".into();
+        let doc = dsm_json::parse(&to_json(&odd)).unwrap();
+        let jobs = doc.get("jobs").and_then(Value::as_arr).unwrap();
+        assert_eq!(jobs[0].get_str("system"), Some("CC\"NUMA\\\t"));
     }
 
     #[test]
     fn regression_check_flags_only_real_regressions() {
         let baseline = to_json(&toy_report());
         let mut current = toy_report();
-        // Same numbers: no failures.
-        assert!(regression_failures(&current, &baseline, 0.3).is_empty());
+        // Same numbers: no failures, and both jobs were compared.
+        let check = regression_failures(&current, &baseline, 0.3).unwrap();
+        assert_eq!(check.compared, 2);
+        assert!(check.failures.is_empty());
         // 20% slower is inside a 30% tolerance.
         current.jobs[0].events_per_sec = 1_600_000.0;
-        assert!(regression_failures(&current, &baseline, 0.3).is_empty());
+        let check = regression_failures(&current, &baseline, 0.3).unwrap();
+        assert!(check.failures.is_empty());
         // 50% slower is a regression, and the message names the job.
         current.jobs[0].events_per_sec = 1_000_000.0;
-        let failures = regression_failures(&current, &baseline, 0.3);
+        let failures = regression_failures(&current, &baseline, 0.3)
+            .unwrap()
+            .failures;
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("radix/CC-NUMA"), "{}", failures[0]);
     }
@@ -410,14 +458,30 @@ mod tests {
         let baseline = to_json(&toy_report());
         let mut current = toy_report();
         current.jobs.remove(1);
-        assert!(regression_failures(&current, &baseline, 0.3).is_empty());
+        let check = regression_failures(&current, &baseline, 0.3).unwrap();
+        assert_eq!(check.compared, 1, "only the job both ran is compared");
+        assert!(check.failures.is_empty());
     }
 
     #[test]
-    fn malformed_baseline_yields_no_jobs_not_a_panic() {
-        assert!(parse_jobs("").is_empty());
-        assert!(parse_jobs("{\"workload\":\"x\"").is_empty());
-        assert!(parse_jobs("not json at all").is_empty());
+    fn malformed_baseline_is_an_error_not_a_panic() {
+        let current = toy_report();
+        for (bad, why) in [
+            ("", "not valid JSON"),
+            ("{\"workload\":\"x\"", "not valid JSON"),
+            ("not json at all", "not valid JSON"),
+            ("{\"bench\":\"perf\"}", "no `jobs` array"),
+            ("{\"jobs\":{}}", "no `jobs` array"),
+            ("{\"jobs\":[{\"workload\":\"radix\"}]}", "needs `workload`"),
+            ("{\"jobs\":[]}", "shares no job"),
+            (
+                "{\"jobs\":[{\"workload\":\"fmm\",\"system\":\"MigRep\",\"events_per_sec\":1}]}",
+                "shares no job",
+            ),
+        ] {
+            let err = regression_failures(&current, bad, 0.3).unwrap_err();
+            assert!(err.contains(why), "`{bad}`: {err}");
+        }
     }
 
     #[test]
@@ -438,21 +502,28 @@ mod tests {
         assert!(report.mean_events_per_sec() > 0.0);
     }
 
+    fn measured(scale: &str, events_per_sec: f64) -> TrendMean {
+        TrendMean::Measured {
+            scale: scale.to_string(),
+            events_per_sec,
+        }
+    }
+
     #[test]
     fn trend_entry_reads_plain_reports_and_trajectory_wrappers() {
         // Plain report: pr comes from the file name.
         let plain = to_json(&toy_report());
-        let t = parse_trend_entry("BENCH_4.json", &plain).unwrap();
+        let t = parse_trend_entry("BENCH_4.json", &plain);
         assert_eq!(t.pr, Some(4));
-        assert_eq!(t.scale, "reduced");
-        assert!((t.mean_events_per_sec - 2_000_000.0).abs() < 1.0);
+        assert_eq!(t.mean, measured("reduced", 2_000_000.0));
 
         // Trajectory wrapper: explicit pr, and the *last* mean wins (the
-        // post-change state).
+        // post-change state), with the scale beside it.
         let wrapper = format!(
             "{{\"bench\":\"perf-trajectory\",\"pr\":3,\"pre_refactor\":{},\"post_refactor\":{}}}",
             to_json(&toy_report()),
             to_json(&PerfReport {
+                scale: "paper".into(),
                 jobs: vec![PerfJob {
                     events_per_sec: 6_000_000.0,
                     ..toy_report().jobs[0].clone()
@@ -460,38 +531,46 @@ mod tests {
                 ..toy_report()
             })
         );
-        let t = parse_trend_entry("BENCH_3.json", &wrapper).unwrap();
+        let t = parse_trend_entry("BENCH_3.json", &wrapper);
         assert_eq!(t.pr, Some(3));
-        assert!((t.mean_events_per_sec - 6_000_000.0).abs() < 1.0);
+        assert_eq!(t.mean, measured("paper", 6_000_000.0));
 
         // Pretty-printed JSON (the BENCH_3.json style, spaces after
-        // colons) parses too.
-        let pretty = "{\n \"pr\": 6,\n \"scale\": \"paper\",\n \
-                      \"mean_events_per_sec\": 1234.5\n}";
-        let t = parse_trend_entry("BENCH_6.json", pretty).unwrap();
+        // colons) parses too; a non-numeric mean (a list of repeats) is
+        // passed over for the last numeric one.
+        let pretty = "{\n \"pr\": 6,\n \"runs\": {\"scale\": \"paper\",\n \
+                      \"mean_events_per_sec\": 1234.5},\n \"summary\": \
+                      {\"mean_events_per_sec\": [1, 2]}\n}";
+        let t = parse_trend_entry("BENCH_6.json", pretty);
         assert_eq!(t.pr, Some(6));
-        assert_eq!(t.scale, "paper");
-        assert!((t.mean_events_per_sec - 1234.5).abs() < 0.01);
+        assert_eq!(t.mean, measured("paper", 1234.5));
 
-        // Garbage yields no entry.
-        assert!(parse_trend_entry("BENCH_9.json", "not json").is_none());
+        // Garbage and a truncated report are unparsable: no number is read
+        // out of them, however much of a report they hold.
+        let truncated = &plain[..plain.len() / 2];
+        for bad in ["not json", truncated] {
+            let t = parse_trend_entry("BENCH_9.json", bad);
+            assert_eq!(t.pr, Some(9), "pr still comes from the file name");
+            assert!(matches!(t.mean, TrendMean::Unparsable(_)), "{bad}: {t:?}");
+        }
+
+        // Valid JSON without a perf mean is a row with no number.
+        let no_mean = "{\"bench\":\"memsmoke\",\"pr\":13,\"scale\":\"paper\"}";
+        let t = parse_trend_entry("BENCH_13.json", no_mean);
+        assert_eq!(t.pr, Some(13));
+        assert_eq!(t.mean, TrendMean::Absent);
     }
 
     #[test]
     fn trend_table_orders_by_pr_and_reports_speedups() {
+        let entry = |pr: u64, mean: TrendMean| TrendEntry {
+            file: format!("BENCH_{pr}.json"),
+            pr: Some(pr),
+            mean,
+        };
         let entries = vec![
-            TrendEntry {
-                file: "BENCH_3.json".into(),
-                pr: Some(3),
-                scale: "paper".into(),
-                mean_events_per_sec: 2_000_000.0,
-            },
-            TrendEntry {
-                file: "BENCH_4.json".into(),
-                pr: Some(4),
-                scale: "paper".into(),
-                mean_events_per_sec: 3_000_000.0,
-            },
+            entry(3, measured("paper", 2_000_000.0)),
+            entry(4, measured("paper", 3_000_000.0)),
         ];
         let table = format_trend(&entries);
         assert!(table.contains("BENCH_3.json"));
@@ -502,16 +581,29 @@ mod tests {
         // A scale change between adjacent rows suppresses the ratio: a
         // reduced-vs-paper quotient is not a speedup.
         let mixed = vec![
-            TrendEntry {
-                file: "BENCH_2.json".into(),
-                pr: Some(2),
-                scale: "reduced".into(),
-                mean_events_per_sec: 5_000_000.0,
-            },
+            entry(2, measured("reduced", 5_000_000.0)),
             entries[0].clone(),
         ];
         let table = format_trend(&mixed);
         assert!(!table.contains('x'), "cross-scale ratio printed: {table}");
+
+        // Rows without a number say why and are skipped as ratio bases:
+        // the next measured row compares against the last measured one.
+        let gappy = vec![
+            entries[0].clone(),
+            entry(4, TrendMean::Unparsable("unterminated string".into())),
+            entry(5, TrendMean::Absent),
+            entry(6, measured("paper", 3_000_000.0)),
+        ];
+        let table = format_trend(&gappy);
+        let rows: Vec<&str> = table.lines().skip(2).collect();
+        assert!(rows[1].contains("unparsable"), "{table}");
+        assert!(rows[1].contains("unterminated string"), "{table}");
+        assert!(
+            !rows[2].contains("unparsable") && rows[2].contains(" - "),
+            "{table}"
+        );
+        assert!(rows[3].ends_with("1.50x"), "{table}");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use crate::runner::ExperimentResult;
 use crate::sweep::{Axis, Metric, SweepResult};
 use dsm_core::SimResult;
+use dsm_json::escape;
 use std::io;
 use std::path::Path;
 
@@ -211,20 +212,6 @@ pub fn to_csv(result: &ExperimentResult) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn sim_result_json(r: &SimResult, baseline: Option<&SimResult>, elapsed_seconds: f64) -> String {
     let normalized = baseline
         .map(|b| format!(",\"normalized_time\":{:.6}", r.normalized_against(b)))
@@ -238,7 +225,7 @@ fn sim_result_json(r: &SimResult, baseline: Option<&SimResult>, elapsed_seconds:
             "\"network_messages\":{},\"network_bytes\":{},",
             "\"elapsed_seconds\":{:.6}{}}}"
         ),
-        json_escape(&r.system),
+        escape(&r.system),
         r.execution_time.raw(),
         r.accesses,
         r.barriers,
@@ -261,7 +248,7 @@ pub fn to_json(result: &ExperimentResult) -> String {
     let systems = result
         .system_names
         .iter()
-        .map(|n| format!("\"{}\"", json_escape(n)))
+        .map(|n| format!("\"{}\"", escape(n)))
         .collect::<Vec<_>>()
         .join(",");
     let workloads = result
@@ -277,7 +264,7 @@ pub fn to_json(result: &ExperimentResult) -> String {
                 .join(",");
             format!(
                 "{{\"workload\":\"{}\",\"baseline\":{},\"results\":[{}]}}",
-                json_escape(&w.workload),
+                escape(&w.workload),
                 sim_result_json(&w.baseline, None, w.baseline_elapsed_seconds),
                 rows
             )
@@ -293,7 +280,7 @@ pub fn to_json(result: &ExperimentResult) -> String {
             "{{\"experiment\":\"{}\",\"systems\":[{}],",
             "\"mean_normalized_time\":[{}],\"workloads\":[{}]}}"
         ),
-        json_escape(&result.experiment),
+        escape(&result.experiment),
         systems,
         means,
         workloads
@@ -482,7 +469,7 @@ pub fn sweep_to_json(result: &SweepResult) -> String {
                       cached: bool| {
         let axes_fields = Axis::ALL
             .iter()
-            .map(|a| format!("\"{}\":\"{}\"", a.name(), json_escape(&axes.value(*a))))
+            .map(|a| format!("\"{}\":\"{}\"", a.name(), escape(&axes.value(*a))))
             .collect::<Vec<_>>()
             .join(",");
         let m = crate::sweep::MetricSet::of(r, normalized.unwrap_or(1.0));
@@ -559,8 +546,8 @@ pub fn sweep_to_json(result: &SweepResult) -> String {
             "{{\"sweep\":\"{}\",\"baseline_system\":\"{}\",",
             "\"points\":[{}],\"baselines\":[{}]}}"
         ),
-        json_escape(&result.name),
-        json_escape(&result.baseline_system),
+        escape(&result.name),
+        escape(&result.baseline_system),
         points,
         baselines
     )
@@ -615,11 +602,9 @@ mod tests {
         assert!(json.contains("\"normalized_time\""));
         assert!(json.contains("\"execution_time\""));
         assert!(json.contains("\"elapsed_seconds\""));
-        // Balanced braces/brackets (cheap well-formedness check with no JSON
-        // parser in the offline environment).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json_escape("a\"b\\c\n").contains("\\\""));
+        let v = dsm_json::parse(&json).expect("experiment JSON parses");
+        let workloads = v.get("workloads").and_then(dsm_json::Value::as_arr);
+        assert_eq!(workloads.map(<[_]>::len), Some(result.per_workload.len()));
 
         let path = std::env::temp_dir().join("dsm-repro-report-test.json");
         write_json(&path, &result).unwrap();
@@ -743,8 +728,7 @@ mod tests {
         assert!(json.contains("\"page_bytes\":\"2048\""));
         assert!(json.contains("\"traffic\""));
         assert!(json.contains("\"page_data_block\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(dsm_json::parse(&json).is_ok(), "sweep JSON parses");
         assert_eq!(
             json.matches("\"normalized_time\"").count(),
             result.points.len()

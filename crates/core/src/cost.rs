@@ -9,11 +9,10 @@
 //! of page copying.
 
 use mem_trace::BLOCKS_PER_PAGE;
-use serde::{Deserialize, Serialize};
 use sim_engine::Cycles;
 
 /// Latencies of the simulated memory system (the paper's Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// One-way network latency.
     pub network_latency: Cycles,
@@ -165,7 +164,7 @@ impl Default for CostModel {
 ///
 /// The paper tunes one set of thresholds for the fast systems and a more
 /// conservative set for the slow systems of Section 6.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Thresholds {
     /// Misses by one node to one page before migration/replication triggers.
     pub migrep_threshold: u64,

@@ -6,11 +6,10 @@
 //! feed Table 4.
 
 use dsm_protocol::TrafficStats;
-use serde::{Deserialize, Serialize};
 use sim_engine::Cycles;
 
 /// Per-node counters accumulated during a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Processor-cache hits on this node.
     pub l1_hits: u64,
@@ -61,7 +60,7 @@ impl NodeStats {
 /// `SimResult` implements `Eq`: simulation is deterministic, so two runs of
 /// the same (machine, system, trace) triple must compare bit-identical —
 /// the old-vs-new API parity tests rely on this.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimResult {
     /// System name (e.g. "CC-NUMA", "MigRep", "R-NUMA").
     pub system: String,

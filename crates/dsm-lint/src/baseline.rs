@@ -14,8 +14,8 @@
 //! that is meant to be replaced before committing.  A baseline entry with
 //! an empty reason fails to load at all.
 
-use crate::json::{self, Value};
 use crate::rules::{Finding, RULES};
+use dsm_json::{self as json, Value};
 use std::collections::BTreeMap;
 
 /// The baseline document schema.  v2 (this PR) adds a `rules` array naming

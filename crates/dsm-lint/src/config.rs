@@ -11,8 +11,8 @@
 //! The format is a small TOML subset — `key = value` lines under
 //! `[section]` headers, where a value is a quoted string, an integer, or a
 //! (possibly multi-line) array of quoted strings.  That is all a lint
-//! configuration needs, and parsing it by hand keeps the crate
-//! dependency-free like the rest of the linter.
+//! configuration needs, and parsing it by hand keeps the linter free of
+//! external dependencies.
 
 /// Parsed configuration for the call-graph rules.  [`Config::default`]
 /// mirrors the committed `lint.toml` so fixture tests and bare-tree runs

@@ -291,7 +291,7 @@ impl CallGraph {
     /// The graph as a JSON document for `--emit-graph`: nodes, resolved
     /// edges, and the unresolved bucket.
     pub fn to_json(&self) -> String {
-        use crate::json::escape;
+        use dsm_json::escape;
         let mut out = String::from("{\n  \"nodes\": [");
         for (i, f) in self.fns.iter().enumerate() {
             if i > 0 {

@@ -11,9 +11,10 @@
 //! committed findings baseline ([`baseline`]) so CI fails on *new*
 //! violations while grandfathering documented old ones.
 //!
-//! The crate is deliberately dependency-free (its own JSON in [`json`], its
-//! own walker in [`workspace`]): the gate must build in seconds, before the
-//! simulator stack, and must never be taken down by the code it checks.
+//! The crate depends only on the dependency-free `dsm-json` crate (for the
+//! baseline and `--json` output) and has its own walker in [`workspace`]:
+//! the gate must build in seconds, before the simulator stack, and must
+//! never be taken down by the code it checks.
 //! The dynamic side of the same contract — bit-exact results — is held by
 //! the golden-fingerprint parity tests, which need the simulator itself;
 //! see the README's "Static analysis" section for how the two fit
@@ -24,7 +25,6 @@ pub mod config;
 pub mod flow;
 pub mod graph;
 pub mod items;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 pub mod workspace;

@@ -6,10 +6,9 @@
 //! the harness can report message and byte counts per category.
 
 use mem_trace::BLOCK_SIZE;
-use serde::{Deserialize, Serialize};
 
 /// Kinds of inter-node protocol messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MsgKind {
     /// Read request to a home node.
     ReadRequest,
@@ -102,7 +101,7 @@ impl MsgKind {
 }
 
 /// Per-kind message and byte counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     messages: [u64; 10],
     bytes: [u64; 10],

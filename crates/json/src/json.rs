@@ -1,11 +1,10 @@
-//! A minimal JSON reader/writer for the baseline file and `--json` output.
+//! The parser and escaper behind the crate root.
 //!
-//! This mirrors `sweep-service`'s hand-rolled protocol module rather than
-//! depending on it: the lint gate must build before — and independently of —
-//! the simulator stack it checks, so the crate stays dependency-free.  The
-//! subset is full JSON minus what a baseline never contains: numbers are
-//! `f64` (counts and line numbers fit the 53-bit mantissa) and `\uXXXX`
-//! escapes outside the BMP must arrive as surrogate pairs.
+//! The subset implemented is full JSON minus niceties nobody sends to this
+//! repository: numbers are kept as `f64` (every size/count carried fits in
+//! the 53-bit mantissa), and `\uXXXX` escapes outside the basic
+//! multilingual plane must arrive as surrogate pairs.  Number syntax is
+//! RFC 8259's, checked before conversion; non-finite values are rejected.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,13 +40,29 @@ impl Value {
         }
     }
 
+    /// The boolean inside, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The number inside, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
     /// The number inside as a `u64`, if it is one (integral, in range).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && *n <= (1u64 << 53) as f64 && n.fract() == 0.0 => {
-                Some(*n as u64)
-            }
-            _ => None,
+        let n = self.as_f64()?;
+        if n >= 0.0 && n <= (1u64 << 53) as f64 && n.fract() == 0.0 {
+            Some(n as u64)
+        } else {
+            None
         }
     }
 
@@ -68,6 +83,50 @@ impl Value {
     pub fn get_u64(&self, key: &str) -> Option<u64> {
         self.get(key)?.as_u64()
     }
+
+    /// Member `key` as a list of strings.  `Err` names the key when the
+    /// member exists but is not an array of strings; `Ok(None)` when absent.
+    pub fn get_str_list(&self, key: &str) -> Result<Option<Vec<String>>, String> {
+        match self.get(key) {
+            None => Ok(None),
+            Some(v) => {
+                let items = v
+                    .as_arr()
+                    .ok_or_else(|| format!("`{key}` must be an array of strings"))?;
+                items
+                    .iter()
+                    .map(|item| {
+                        item.as_str()
+                            .map(str::to_string)
+                            .ok_or_else(|| format!("`{key}` must be an array of strings"))
+                    })
+                    .collect::<Result<Vec<_>, _>>()
+                    .map(Some)
+            }
+        }
+    }
+
+    /// Member `key` as a list of `u64`s.  Same contract as
+    /// [`Value::get_str_list`].
+    pub fn get_u64_list(&self, key: &str) -> Result<Option<Vec<u64>>, String> {
+        match self.get(key) {
+            None => Ok(None),
+            Some(v) => {
+                let items = v
+                    .as_arr()
+                    .ok_or_else(|| format!("`{key}` must be an array of non-negative integers"))?;
+                items
+                    .iter()
+                    .map(|item| {
+                        item.as_u64().ok_or_else(|| {
+                            format!("`{key}` must be an array of non-negative integers")
+                        })
+                    })
+                    .collect::<Result<Vec<_>, _>>()
+                    .map(Some)
+            }
+        }
+    }
 }
 
 /// Escape a string for embedding in a JSON string literal.
@@ -87,7 +146,8 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Parse one JSON document.  Trailing non-whitespace is an error.
+/// Parse one JSON document.  Trailing non-whitespace is an error (the
+/// service protocol is one document per line).
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
@@ -122,7 +182,7 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn eat(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -167,15 +227,16 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_string())?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number `{text}` at byte {start}"))
+        let span = &self.bytes[start..self.pos];
+        let text = std::str::from_utf8(span).map_err(|_| "bad number".to_string())?;
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() && is_json_number(span) => Ok(Value::Num(n)),
+            _ => Err(format!("bad number `{text}` at byte {start}")),
+        }
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
+        self.expect(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -204,7 +265,7 @@ impl Parser<'_> {
                                 // must follow.
                                 if self.peek() == Some(b'\\') {
                                     self.pos += 1;
-                                    self.eat(b'u')?;
+                                    self.expect(b'u')?;
                                     let low = self.hex4()?;
                                     let combined = 0x10000
                                         + ((unit - 0xd800) << 10)
@@ -222,6 +283,8 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
+                    // Consume one UTF-8 scalar (the input is a &str, so
+                    // boundaries are valid).
                     let rest = std::str::from_utf8(&self.bytes[self.pos..])
                         .map_err(|_| "invalid utf-8".to_string())?;
                     let c = rest.chars().next().ok_or("unterminated string")?;
@@ -246,7 +309,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Value, String> {
-        self.eat(b'{')?;
+        self.expect(b'{')?;
         self.depth += 1;
         let mut members = Vec::new();
         self.skip_ws();
@@ -259,7 +322,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.eat(b':')?;
+            self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
             if !members.iter().any(|(k, _)| *k == key) {
@@ -279,7 +342,7 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Value, String> {
-        self.eat(b'[')?;
+        self.expect(b'[')?;
         self.depth += 1;
         let mut items = Vec::new();
         self.skip_ws();
@@ -305,9 +368,72 @@ impl Parser<'_> {
     }
 }
 
+/// RFC 8259 number syntax: `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`.
+/// Rust's `f64::from_str` also takes `01`, `1.` and `1.e5`, so the span is
+/// checked here before it is converted.
+fn is_json_number(span: &[u8]) -> bool {
+    fn digits(s: &[u8]) -> usize {
+        s.iter().take_while(|b| b.is_ascii_digit()).count()
+    }
+    let s = span.strip_prefix(b"-").unwrap_or(span);
+    let int = digits(s);
+    if int == 0 || (int > 1 && s[0] == b'0') {
+        return false;
+    }
+    let mut rest = &s[int..];
+    if let Some(frac) = rest.strip_prefix(b".") {
+        let n = digits(frac);
+        if n == 0 {
+            return false;
+        }
+        rest = &frac[n..];
+    }
+    if let Some(exp) = rest.strip_prefix(b"e").or_else(|| rest.strip_prefix(b"E")) {
+        let exp = exp
+            .strip_prefix(b"+")
+            .or_else(|| exp.strip_prefix(b"-"))
+            .unwrap_or(exp);
+        let n = digits(exp);
+        if n == 0 {
+            return false;
+        }
+        rest = &exp[n..];
+    }
+    rest.is_empty()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parses_the_protocol_shapes() {
+        let v = parse(
+            r#"{"kind":"sweep","id":"r1","nodes":[2,4],"threads":3,"deep":{"x":true,"y":null},"f":-1.5e2}"#,
+        )
+        .unwrap();
+        assert_eq!(v.get_str("kind"), Some("sweep"));
+        assert_eq!(v.get_str("id"), Some("r1"));
+        assert_eq!(v.get_u64_list("nodes").unwrap(), Some(vec![2, 4]));
+        assert_eq!(v.get_u64("threads"), Some(3));
+        assert_eq!(v.get("deep").unwrap().get("x"), Some(&Value::Bool(true)));
+        assert_eq!(v.get("deep").unwrap().get("y"), Some(&Value::Null));
+        assert_eq!(v.get("f").unwrap().as_f64(), Some(-150.0));
+        assert_eq!(v.get("f").unwrap().as_u64(), None, "negative is not u64");
+        assert_eq!(v.get("missing"), None);
+        // Every number form RFC 8259 allows, up to `f64::MAX`.
+        for good in [
+            "0",
+            "-0",
+            "0.5",
+            "-0.5e-3",
+            "1E+2",
+            "10",
+            "1.7976931348623157e308",
+        ] {
+            assert!(parse(good).is_ok(), "`{good}` should parse");
+        }
+    }
 
     #[test]
     fn parses_the_baseline_shape() {
@@ -323,11 +449,14 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
-        let original = "let g = x.lock().expect(\"poisoned\\n\");\t√";
+        let original = "a\"b\\c\nd\te\u{1f600}√";
         let doc = format!("{{\"s\":\"{}\"}}", escape(original));
-        assert_eq!(parse(&doc).unwrap().get_str("s"), Some(original));
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get_str("s"), Some(original));
+        // Surrogate-pair escapes decode too.
         let v = parse(r#""\ud83d\ude00""#).unwrap();
         assert_eq!(v.as_str(), Some("\u{1f600}"));
+        assert_eq!(parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
     }
 
     #[test]
@@ -342,12 +471,52 @@ mod tests {
             "{\"a\":1}trailing",
             "\"\\u12\"",
             "\"\\q\"",
+            "01a",
+            "nul",
             "{\"a\" 1}",
             "\"\\ud800x\"",
+            // Numbers outside RFC 8259 that `f64::from_str` would take.
+            "01",
+            "00",
+            "1.",
+            "1.e5",
+            "-01.50",
+            "-",
+            "1e",
+            "1e+",
+            "+1",
+            ".5",
+            "[1.5.2]",
+            "1e400",
+            "-1e400",
         ] {
             assert!(parse(bad).is_err(), "`{bad}` should fail");
         }
+        let err = parse("[1, 01]").unwrap_err();
+        assert!(err.contains("at byte 4"), "{err}");
+    }
+
+    #[test]
+    fn depth_is_bounded() {
         let deep = "[".repeat(100) + &"]".repeat(100);
-        assert!(parse(&deep).is_err(), "depth is bounded");
+        assert!(parse(&deep).is_err());
+        let ok = "[".repeat(40) + &"]".repeat(40);
+        assert!(parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn typed_list_helpers_reject_mixed_arrays() {
+        let v = parse(r#"{"a":[1,"x"],"b":"not a list","c":["x","y"]}"#).unwrap();
+        assert!(v.get_u64_list("a").is_err());
+        assert!(v.get_str_list("a").is_err());
+        assert!(v.get_str_list("b").is_err());
+        assert_eq!(
+            v.get_str_list("c").unwrap(),
+            Some(vec!["x".to_string(), "y".to_string()])
+        );
+        assert_eq!(v.get_str_list("missing").unwrap(), None);
+        // Duplicate keys keep the first binding.
+        let v = parse(r#"{"k":1,"k":2}"#).unwrap();
+        assert_eq!(v.get_u64("k"), Some(1));
     }
 }

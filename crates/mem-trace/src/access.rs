@@ -1,10 +1,9 @@
 //! Memory references and per-processor trace events.
 
 use crate::addr::{BlockId, GlobalAddr, PageId};
-use serde::{Deserialize, Serialize};
 
 /// Whether a memory reference reads or writes shared data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load from shared memory.
     Read,
@@ -21,7 +20,7 @@ impl AccessKind {
 }
 
 /// A single shared-memory reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRef {
     /// Target byte address in the global shared address space.
     pub addr: GlobalAddr,
@@ -68,7 +67,7 @@ impl MemRef {
 /// in the L1, ALU work) is folded into `Compute` delays, and synchronization
 /// is expressed with named barriers and locks exactly as the PARMACS macros
 /// of SPLASH-2 would.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A shared-memory read or write.
     Access(MemRef),

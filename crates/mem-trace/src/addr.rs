@@ -6,7 +6,6 @@
 //! (64-byte blocks) while the page-level mechanisms — first-touch placement,
 //! migration, replication, and R-NUMA relocation — operate on 4-KByte pages.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Cache block (coherence unit) size in bytes — the *paper's* geometry.
@@ -28,7 +27,7 @@ pub const BLOCKS_PER_PAGE: u64 = PAGE_SIZE / BLOCK_SIZE;
 /// [`GlobalAddr::page`]/[`GlobalAddr::block`] decompositions assume the
 /// paper's 4-KB/64-B geometry; sweep-capable layers decompose through a
 /// `Geometry` carried by their machine configuration instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Geometry {
     /// Virtual-memory page size in bytes (power of two).
     pub page_bytes: u64,
@@ -108,23 +107,23 @@ impl Default for Geometry {
 }
 
 /// A byte address in the global shared physical address space.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalAddr(pub u64);
 
 /// A cache-block-aligned address (address / `BLOCK_SIZE`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u64);
 
 /// A page-aligned address (address / `PAGE_SIZE`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(pub u64);
 
 /// A cluster node (SMP workstation) identifier.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u16);
 
 /// A global processor identifier (`0 .. nodes * procs_per_node`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(pub u16);
 
 impl GlobalAddr {
@@ -218,7 +217,7 @@ impl ProcId {
 /// Cluster topology: how many SMP nodes, and how many processors per node.
 ///
 /// The paper's baseline is 8 nodes x 4 processors (32 processors total).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Topology {
     /// Number of SMP nodes in the cluster.
     pub nodes: u16,

@@ -9,10 +9,9 @@
 //! data structure a page belongs to.
 
 use crate::addr::{GlobalAddr, PageId, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 
 /// A named, contiguous, page-aligned region of the global address space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// Human-readable name (e.g. `"matrix"`, `"keys"`).
     pub name: String,
@@ -83,7 +82,7 @@ impl Segment {
 /// Allocation is deterministic: segments are laid out in the order they are
 /// requested, each starting on a fresh page, mirroring how the SPLASH-2
 /// programs allocate their major shared structures once at start-up.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
     next_page: u64,
     segments: Vec<Segment>,

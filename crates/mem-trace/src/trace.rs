@@ -3,7 +3,6 @@
 use crate::access::{AccessKind, TraceEvent};
 use crate::addr::{ProcId, Topology};
 use crate::intern::{PageInterner, Slab};
-use serde::{Deserialize, Serialize};
 
 /// Largest lock id a well-formed trace may use.  The simulator keys its
 /// lock table directly by id (a dense slab), so ids must be small; the
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 pub const MAX_LOCK_ID: u32 = u16::MAX as u32;
 
 /// The complete set of per-processor traces for one workload run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProgramTrace {
     /// Workload name (Table 2 row, e.g. `"lu"`).
     pub name: String,
@@ -128,7 +127,7 @@ impl std::error::Error for TraceError {}
 
 /// Summary statistics of a trace, used by tests and the experiment harness
 /// to sanity-check workload shape (read/write mix, footprint, sharing).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceStats {
     /// Total shared-memory accesses across all processors.
     pub accesses: u64,

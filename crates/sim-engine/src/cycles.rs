@@ -8,13 +8,12 @@
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// A duration or instant measured in processor clock cycles.
 ///
 /// The paper models 600 MHz dual-issue processors; one cycle is therefore
 /// 1/600 µs.  [`Cycles::as_micros`] performs that conversion for reporting.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(pub u64);
 
 impl Cycles {

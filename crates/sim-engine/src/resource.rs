@@ -13,10 +13,9 @@
 //! loop.
 
 use crate::cycles::Cycles;
-use serde::{Deserialize, Serialize};
 
 /// Occupancy statistics accumulated by a [`Resource`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceStats {
     /// Number of acquisitions.
     pub requests: u64,
@@ -54,7 +53,7 @@ impl ResourceStats {
 /// `acquire(now, service)` returns the interval `[start, finish)` during
 /// which the request holds the resource, where `start >= now` accounts for
 /// queueing behind earlier requests and `finish = start + service`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Resource {
     name: String,
     busy_until: Cycles,

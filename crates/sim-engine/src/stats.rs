@@ -4,10 +4,8 @@
 //! counts and latencies across runs.  `OnlineStats` uses Welford's algorithm
 //! so variance stays numerically stable over long simulations.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean/variance/min/max accumulator (Welford).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -121,7 +119,7 @@ impl OnlineStats {
 
 /// A histogram with uniformly sized buckets over `[0, bucket_width * buckets)`.
 /// Values beyond the last bucket are collected in an overflow bin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     bucket_width: u64,
     counts: Vec<u64>,

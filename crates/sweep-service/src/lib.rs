@@ -32,10 +32,13 @@
 pub mod cache;
 pub mod catalog;
 pub mod cli;
-pub mod json;
 pub mod proto;
 pub mod server;
 pub mod service;
+
+/// The workspace JSON crate under its historical path, for callers that
+/// import `sweep_service::json`.
+pub use dsm_json as json;
 
 pub use cache::{CacheStats, ResultCache};
 pub use cli::ServeOptions;

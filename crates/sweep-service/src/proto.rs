@@ -11,8 +11,8 @@
 //! See the repository README ("Sweep service") for the full field tables.
 
 use crate::cache::CacheStats;
-use crate::json::{escape, parse, Value};
 use dsm_bench::SweepEvent;
+use dsm_json::{escape, parse, Value};
 
 /// A parsed, not-yet-resolved request.  Name-shaped fields (systems, costs,
 /// scales, workloads) stay strings here; resolution against the catalog
@@ -408,7 +408,7 @@ mod tests {
 
     #[test]
     fn response_lines_are_valid_json_with_the_request_id() {
-        use crate::json::parse;
+        use dsm_json::parse;
         let err = error_line("q\"1", "bad \"name\"");
         let v = parse(&err).unwrap();
         assert_eq!(v.get_str("kind"), Some("error"));
@@ -442,7 +442,7 @@ mod tests {
         );
         let v = parse(&stats).unwrap();
         assert_eq!(v.get_u64("entries"), Some(3));
-        assert_eq!(v.get("path"), Some(&crate::json::Value::Null));
+        assert_eq!(v.get("path"), Some(&dsm_json::Value::Null));
 
         assert!(is_terminal_kind("ok"));
         assert!(is_terminal_kind("report"));

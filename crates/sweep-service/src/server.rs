@@ -108,7 +108,7 @@ pub fn send_request(path: &Path, request: &str) -> io::Result<Vec<String>> {
     let mut responses = Vec::new();
     for line in reader.lines() {
         let line = line?;
-        let terminal = crate::json::parse(&line)
+        let terminal = dsm_json::parse(&line)
             .ok()
             .and_then(|v| v.get_str("kind").map(is_terminal_kind))
             .unwrap_or(false);
@@ -126,7 +126,7 @@ pub fn send_request(path: &Path, request: &str) -> io::Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use dsm_json::parse;
 
     #[test]
     fn stdio_style_stream_serves_multiple_requests() {

@@ -81,7 +81,7 @@ impl SweepService {
             Err(e) => {
                 // The id is unknown when the line didn't parse at all; fish
                 // it out if the JSON was well-formed enough to carry one.
-                let id = crate::json::parse(line)
+                let id = dsm_json::parse(line)
                     .ok()
                     .and_then(|v| v.get_str("id").map(str::to_string))
                     .unwrap_or_default();
@@ -333,7 +333,7 @@ fn validate_machine_axes<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use dsm_json::parse;
 
     /// A sweep small enough for unit tests: one workload at 1/32 of the
     /// paper's data sets on a 2x2-machine grid point.
@@ -370,10 +370,7 @@ mod tests {
         assert_eq!(point.get_str("workload"), Some("ocean"));
         assert_eq!(point.get_str("system"), Some("CC-NUMA"));
         assert_eq!(point.get_u64("nodes"), Some(2));
-        assert_eq!(
-            point.get("cached").unwrap(),
-            &crate::json::Value::Bool(false)
-        );
+        assert_eq!(point.get("cached").unwrap(), &dsm_json::Value::Bool(false));
         assert!(point.get("normalized_time").unwrap().as_f64().unwrap() >= 0.99);
         assert_eq!(point.get_str("cache_key").unwrap().len(), 32);
 
@@ -388,7 +385,7 @@ mod tests {
             let w = parse(warm_line).unwrap();
             assert_eq!(c.get_str("fingerprint"), w.get_str("fingerprint"));
             assert_eq!(c.get_str("cache_key"), w.get_str("cache_key"));
-            assert_eq!(w.get("cached").unwrap(), &crate::json::Value::Bool(true));
+            assert_eq!(w.get("cached").unwrap(), &dsm_json::Value::Bool(true));
         }
         let stats = service.cache_stats();
         assert_eq!(stats.entries, 2);
@@ -562,7 +559,7 @@ mod tests {
         let v = parse(&lines[0]).unwrap();
         assert_eq!(v.get_str("kind"), Some("cache-stats"));
         assert_eq!(v.get_u64("entries"), Some(0));
-        assert_eq!(v.get("path"), Some(&crate::json::Value::Null));
+        assert_eq!(v.get("path"), Some(&dsm_json::Value::Null));
 
         let (lines, action) = collect(&service, r#"{"kind":"shutdown","id":"bye"}"#);
         assert_eq!(action, Action::Shutdown);

@@ -630,3 +630,63 @@ fn miss_classifier_matches_a_per_block_history_map() {
         }
     }
 }
+
+/// Valid inputs for every JSON edge: serve request lines, a committed
+/// `BENCH_*.json` trajectory file and a lint baseline.
+const JSON_SEEDS: [&str; 5] = [
+    r#"{"kind":"sweep","id":"f1 caf\u00e9 \ud83d\ude00","workloads":["ocean","lu"],"systems":["cc-numa","r-numa"],"baseline":null,"scale":"x1/32","nodes":[2,4],"page_bytes":[2048,4096],"threads":2}"#,
+    r#"{"kind":"report","id":"f2","workloads":["lu"],"rows":"workload","cols":"system","metric":"normalized_time"}"#,
+    r#"{"kind":"trend","id":"f3","dir":"."}"#,
+    include_str!("../BENCH_10.json"),
+    r#"{"version":2,"rules":["hash-iter","wall-clock","lock-unwrap","float-order","panic-path","det-taint","cast-truncation","allow-syntax"],"entries":[{"rule":"lock-unwrap","file":"crates/a/src/b.rs","count":1,"excerpt":"m.lock().unwrap()","reason":"caf\u00e9 \"quoted\"\n"}]}"#,
+];
+
+/// One random damage: a bit flip, a truncation, an inserted structural
+/// byte (occasionally a run deep enough to hit the nesting limit), or an
+/// inserted digit run (long enough to overflow `f64`).
+fn mutate_json(rng: &mut SplitMix64, bytes: &mut Vec<u8>) {
+    let at = rng.next_below(bytes.len() as u64 + 1) as usize;
+    match rng.next_below(4) {
+        0 if at < bytes.len() => bytes[at] ^= 1 << rng.next_below(8),
+        1 => bytes.truncate(at),
+        2 => {
+            let b = b"[{\"\\"[rng.next_below(4) as usize];
+            let n = if rng.next_below(8) == 0 { 80 } else { 1 };
+            bytes.splice(at..at, std::iter::repeat_n(b, n));
+        }
+        _ => {
+            let len = 1 + rng.next_below(400);
+            let run: Vec<u8> = (0..len).map(|_| b'0' + rng.next_below(10) as u8).collect();
+            bytes.splice(at..at, run);
+        }
+    }
+}
+
+/// Deterministic mutation fuzzing of the JSON input edges: every damaged
+/// input must give `Ok` or `Err` from each reader, never a panic.
+#[test]
+fn json_readers_never_panic_on_mutated_input() {
+    use dsm_repro::bench::perf::parse_trend_entry;
+    use dsm_repro::service::Request;
+
+    for seed in JSON_SEEDS {
+        assert!(dsm_json::parse(seed).is_ok(), "seed parses: {seed}");
+    }
+    assert!(JSON_SEEDS[..3].iter().all(|s| Request::parse(s).is_ok()));
+    assert!(dsm_lint::Baseline::parse(JSON_SEEDS[4]).is_ok());
+
+    for (s, seed) in JSON_SEEDS.iter().enumerate() {
+        for case in 0..200 {
+            let mut rng = rng_for("json-fuzz", (s as u64) << 32 | case);
+            let mut bytes = seed.as_bytes().to_vec();
+            for _ in 0..1 + rng.next_below(3) {
+                mutate_json(&mut rng, &mut bytes);
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = dsm_json::parse(&text);
+            let _ = Request::parse(&text);
+            let _ = dsm_lint::Baseline::parse(&text);
+            let _ = parse_trend_entry("BENCH_99.json", &text);
+        }
+    }
+}
